@@ -74,51 +74,59 @@ type event = {
   ev_text : string;
 }
 
-let ev_invoke tid call =
-  { ev_tid = Some tid; ev_kind = Invoke; ev_phase = Main;
-    ev_label = "invoke " ^ call.Spec.op;
-    ev_text = Fmt.str "t%d: invoke %a" tid Spec.pp_call call }
+(* Exploration records an event as the data it was built from; the public
+   [event] — label and rendered text — is built only when a failure is
+   reported.  A check that holds renders nothing. *)
+type ev =
+  | Ev_invoke of int * Spec.call
+  | Ev_return of int * Spec.call * V.t
+  | Ev_step of int * string
+  | Ev_fault of int * string * Sched.Fault.kind
+      (** a fault replaces the step's normal outcome, so one event carries
+          both the step label and the injected kind; it renders inline in
+          the faulting thread's lane *)
+  | Ev_crash
+  | Ev_crash_recovery
+  | Ev_rstep of string
+  | Ev_pstep of string
+  | Ev_post_return of int * Spec.call * V.t
 
-let ev_return tid call v =
-  { ev_tid = Some tid; ev_kind = Return; ev_phase = Main;
-    ev_label = "return " ^ call.Spec.op;
-    ev_text = Fmt.str "t%d: %a returns %a" tid Spec.pp_call call V.pp v }
+let phase_of = function
+  | Ev_invoke _ | Ev_return _ | Ev_step _ | Ev_fault _ | Ev_crash -> Main
+  | Ev_crash_recovery | Ev_rstep _ -> Recovery
+  | Ev_pstep _ | Ev_post_return _ -> Post
 
-let ev_step tid label =
-  { ev_tid = Some tid; ev_kind = Step; ev_phase = Main; ev_label = label;
-    ev_text = Fmt.str "t%d: %s" tid label }
+let label_of = function
+  | Ev_invoke (_, call) -> "invoke " ^ call.Spec.op
+  | Ev_return (_, call, _) | Ev_post_return (_, call, _) -> "return " ^ call.Spec.op
+  | Ev_step (_, label) | Ev_rstep label | Ev_pstep label -> label
+  | Ev_fault (_, _, kind) -> "FAULT " ^ Sched.Fault.kind_name kind
+  | Ev_crash | Ev_crash_recovery -> "CRASH"
 
-(* A fault replaces the step's normal outcome, so one event carries both
-   the step label and the injected kind; it renders inline in the faulting
-   thread's lane. *)
-let ev_fault tid label kind =
-  { ev_tid = Some tid; ev_kind = Fault; ev_phase = Main;
-    ev_label = "FAULT " ^ Sched.Fault.kind_name kind;
-    ev_text = Fmt.str "t%d: %s FAULT %s" tid label (Sched.Fault.kind_name kind) }
-
-let ev_crash ~during_recovery =
-  { ev_tid = None; ev_kind = Crash;
-    ev_phase = (if during_recovery then Recovery else Main); ev_label = "CRASH";
-    ev_text = (if during_recovery then "CRASH (during recovery)" else "CRASH") }
-
-let ev_rstep label =
-  { ev_tid = None; ev_kind = Step; ev_phase = Recovery; ev_label = label;
-    ev_text = "recovery: " ^ label }
-
-let ev_pstep label =
-  { ev_tid = None; ev_kind = Step; ev_phase = Post; ev_label = label;
-    ev_text = "post: " ^ label }
-
-let ev_post_return tid call v =
-  { ev_tid = Some tid; ev_kind = Return; ev_phase = Post;
-    ev_label = "return " ^ call.Spec.op;
-    ev_text = Fmt.str "post t%d: %a returns %a" tid Spec.pp_call call V.pp v }
+let event_of e =
+  let ev_tid, ev_kind, ev_text =
+    match e with
+    | Ev_invoke (tid, call) ->
+      (Some tid, Invoke, Fmt.str "t%d: invoke %a" tid Spec.pp_call call)
+    | Ev_return (tid, call, v) ->
+      (Some tid, Return, Fmt.str "t%d: %a returns %a" tid Spec.pp_call call V.pp v)
+    | Ev_step (tid, label) -> (Some tid, Step, Fmt.str "t%d: %s" tid label)
+    | Ev_fault (tid, label, kind) ->
+      (Some tid, Fault, Fmt.str "t%d: %s FAULT %s" tid label (Sched.Fault.kind_name kind))
+    | Ev_crash -> (None, Crash, "CRASH")
+    | Ev_crash_recovery -> (None, Crash, "CRASH (during recovery)")
+    | Ev_rstep label -> (None, Step, "recovery: " ^ label)
+    | Ev_pstep label -> (None, Step, "post: " ^ label)
+    | Ev_post_return (tid, call, v) ->
+      (Some tid, Return, Fmt.str "post t%d: %a returns %a" tid Spec.pp_call call V.pp v)
+  in
+  { ev_tid; ev_kind; ev_phase = phase_of e; ev_label = label_of e; ev_text }
 
 type failure = { reason : string; trace : string list; events : event list }
 
 (* [revents] is newest-first, as accumulated during exploration. *)
 let mk_failure reason revents =
-  let events = List.rev revents in
+  let events = List.rev_map event_of revents in
   { reason; trace = List.map (fun e -> e.ev_text) events; events }
 
 let pp_failure ppf f =
@@ -398,9 +406,9 @@ type 's tracker = {
       (** close under linearizing any pending operation; raises [Vacuous]
           on reachable spec-level undefined behaviour *)
   add_pending : int -> Spec.call -> 's cand list -> 's cand list;
-  respond : int -> V.t -> event list -> 's cand list -> 's cand list;
+  respond : int -> V.t -> ev list -> 's cand list -> 's cand list;
       (** filter candidates by an observed response; raises [Violation] *)
-  crash_cands : event list -> 's cand list -> 's cand list;
+  crash_cands : ev list -> 's cand list -> 's cand list;
       (** apply the atomic spec crash transition, dropping in-flight ops;
           raises [Violation] if unsatisfiable *)
 }
@@ -424,19 +432,34 @@ let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) 
     let c = spec.Spec.compare_state c1.st c2.st in
     if c <> 0 then c else List.compare compare_pending c1.pend c2.pend
   in
+  let module Cands = Set.Make (struct
+    type t = s cand
+
+    let compare = compare_cand
+  end) in
+  let observe_size n =
+    Obs.Metrics.observe Mx.cand_sizes (float_of_int n);
+    if n > ctr.c_max_candidates then ctr.c_max_candidates <- n
+  in
   let dedup cands =
     let n0 = List.length cands in
     let sorted = List.sort_uniq compare_cand cands in
     if !live then begin
       let n = List.length sorted in
       ctr.c_dedup <- ctr.c_dedup + (n0 - n);
-      Obs.Metrics.observe Mx.cand_sizes (float_of_int n);
-      if n > ctr.c_max_candidates then ctr.c_max_candidates <- n
+      observe_size n
     end;
     sorted
   in
+  (* Close under linearizing pending operations, one round per
+     linearization depth: [seen] holds every candidate found so far, and a
+     round's frontier is what the previous round added, newest first.  A
+     round adds no duplicates, so it only observes the set's size.  [add]
+     doubles as the membership test: it returns [seen] itself when an
+     equal candidate is already there. *)
   let saturate cands =
-    let seen = ref (dedup cands) in
+    let start = dedup cands in
+    let seen = ref (Cands.of_list start) in
     let rec grow frontier =
       let fresh = ref [] in
       List.iter
@@ -455,22 +478,22 @@ let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) 
                         c.pend
                     in
                     let c' = { st = st'; pend } in
-                    if
-                      not
-                        (List.exists (fun x -> compare_cand x c' = 0) !seen
-                        || List.exists (fun x -> compare_cand x c' = 0) !fresh)
-                    then fresh := c' :: !fresh)
+                    let seen' = Cands.add c' !seen in
+                    if seen' != !seen then begin
+                      seen := seen';
+                      fresh := c' :: !fresh
+                    end)
                   (Spec.op_outcomes spec c.st p.pcall))
             c.pend)
         frontier;
       match !fresh with
       | [] -> ()
       | fs ->
-        seen := dedup (fs @ !seen);
+        if !live then observe_size (Cands.cardinal !seen);
         grow fs
     in
-    grow !seen;
-    !seen
+    grow start;
+    Cands.elements !seen
   in
   (* Spec-arm coverage: each invocation registers the outcome arms the spec
      offers in the invoking state ([<system>:<op>:ok|err], DESIGN.md S20);
@@ -611,7 +634,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
   let phase_name = function Main -> "main" | Recovery -> "recovery" | Post -> "post" in
   let crash_site = function
     | [] -> "init"
-    | e :: _ -> phase_name e.ev_phase ^ ":" ^ e.ev_label
+    | e :: _ -> phase_name (phase_of e) ^ ":" ^ label_of e
   in
   let cov_crash_hit trace =
     if Obs.Coverage.enabled () then Obs.Coverage.hit Obs.Coverage.Crash (crash_site trace)
@@ -623,11 +646,11 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
       Explore.Prov.record Explore.Prov.Clean_crash ~site:(crash_site trace) ()
   in
   let fault_site label kind = label ^ ":" ^ Sched.Fault.kind_name kind in
-  let cov_fault_sites label kinds =
+  let cov_fault_sites label flts =
     if Obs.Coverage.enabled () then
       List.iter
-        (fun kind -> Obs.Coverage.register Obs.Coverage.Fault (fault_site label kind))
-        kinds
+        (fun (kind, _, _) -> Obs.Coverage.register Obs.Coverage.Fault (fault_site label kind))
+        flts
   in
   let cov_fault_hit label kind =
     if Obs.Coverage.enabled () then
@@ -650,14 +673,14 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
     match find [] lives with
     | None -> (lives, cands, trace)
     | Some (others, l, v) ->
-      let trace = ev_return l.tid l.call v :: trace in
+      let trace = Ev_return (l.tid, l.call, v) :: trace in
       let cands = tk.respond l.tid v trace cands in
       (match l.rest with
       | [] -> settle others cands trace
       | (call', prog') :: rest' ->
         let tid = fresh_tid () in
         let live' = { tid; call = call'; prog = prog'; rest = rest' } in
-        let trace = ev_invoke tid call' :: trace in
+        let trace = Ev_invoke (tid, call') :: trace in
         settle (live' :: others) (tk.add_pending tid call' cands) trace)
   in
 
@@ -718,9 +741,8 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
   (* Retry loops announce themselves by labelling their steps "retry…";
      counting committed retry steps gives the [retries_observed] stat. *)
   let note_label label =
-    if String.length label >= 5 && String.sub label 0 5 = "retry" then
-      ctr.c_retries <- ctr.c_retries + 1
-    else if String.length label >= 13 && String.sub label 0 13 = "rpc_cache_hit" then
+    if String.starts_with ~prefix:"retry" label then ctr.c_retries <- ctr.c_retries + 1
+    else if String.starts_with ~prefix:"rpc_cache_hit" label then
       ctr.c_cache_hits <- ctr.c_cache_hits + 1
   in
 
@@ -750,7 +772,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
         match prog with
         | Sched.Prog.Mark (_, p) -> go w p trace
         | Sched.Prog.Done v ->
-          let trace = ev_post_return tid call v :: trace in
+          let trace = Ev_post_return (tid, call, v) :: trace in
           vacuous_ok (fun () ->
               let cands = tk.respond tid v trace cands in
               run_post w cands trace rest)
@@ -766,7 +788,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
           | Sched.Prog.Steps [] ->
             raise (Violation (mk_failure (Fmt.str "post op blocked at %s" label) trace))
           | Sched.Prog.Steps outs ->
-            List.iter (fun (w', v) -> go w' (k v) (ev_pstep label :: trace)) outs)
+            List.iter (fun (w', v) -> go w' (k v) (Ev_pstep label :: trace)) outs)
       in
       go w prog trace
   in
@@ -794,8 +816,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
         ctr.c_crashes <- ctr.c_crashes + 1;
         Obs.Trace.instant ~cat:"crash" "crash_injection";
         cov_crash_hit trace;
-        run_recovery (cfg.crash_world w) cands (crashes + 1)
-          (ev_crash ~during_recovery:true :: trace)
+        run_recovery (cfg.crash_world w) cands (crashes + 1) (Ev_crash_recovery :: trace)
       end;
       match prog with
       | Sched.Prog.Mark _ -> assert false (* stripped above *)
@@ -812,7 +833,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
         | Sched.Prog.Steps [] ->
           raise (Violation (mk_failure (Fmt.str "recovery blocked at %s" label) trace))
         | Sched.Prog.Steps outs ->
-          List.iter (fun (w', v) -> go w' (k v) crashes (ev_rstep label :: trace)) outs)
+          List.iter (fun (w', v) -> go w' (k v) crashes (Ev_rstep label :: trace)) outs)
     in
     scoped_tids (fun () -> go w cfg.recovery crashes trace)
   in
@@ -926,8 +947,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
             cov_crash_hit trace;
             vacuous_ok (fun () ->
                 let sat = tk.saturate cands in
-                timed_recovery (cfg.crash_world w) sat (crashes + 1)
-                  (ev_crash ~during_recovery:false :: trace))
+                timed_recovery (cfg.crash_world w) sat (crashes + 1) (Ev_crash :: trace))
           end;
           if lives = [] then (if live then timed_post w cands trace)
           else begin
@@ -958,7 +978,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                        end;
                        let flts = faults w in
                        if live then
-                         cov_fault_sites label (List.map (fun (kd, _, _) -> kd) flts);
+                         cov_fault_sites label flts;
                        let fsite' = if flts <> [] then fsite + 1 else fsite in
                        let resume j v =
                          List.mapi
@@ -971,7 +991,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                            incr brc;
                            let child () =
                              explore w' (resume i v) cands crashes
-                               (ev_step l.tid label :: trace)
+                               (Ev_step (l.tid, label) :: trace)
                                (depth + 1) fused fsite'
                                (if emitting then idx :: rpath else rpath)
                            in
@@ -993,7 +1013,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                                if live then cov_fault_hit label kind;
                                in_fault_branch ~live fsite kind (fun () ->
                                    explore w' (resume i v) cands crashes
-                                     (ev_fault l.tid label kind :: trace)
+                                     (Ev_fault (l.tid, label, kind) :: trace)
                                      (depth + 1) (fused + 1) fsite'
                                      (if emitting then idx :: rpath else rpath))
                              in
@@ -1069,8 +1089,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
               cov_crash_hit trace;
               vacuous_ok (fun () ->
                   let sat = tk.saturate cands in
-                  timed_recovery (cfg.crash_world w) sat (crashes + 1)
-                    (ev_crash ~during_recovery:false :: trace))
+                  timed_recovery (cfg.crash_world w) sat (crashes + 1) (Ev_crash :: trace))
             end
             else begin
               ctr.c_crash_skips <- ctr.c_crash_skips + 1;
@@ -1099,7 +1118,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                       let branches = List.map (fun (w', v) -> (w', k v)) outs in
                       let flts = faults w in
                       if live then
-                        cov_fault_sites label (List.map (fun (kd, _, _) -> kd) flts);
+                        cov_fault_sites label flts;
                       let fault_branches =
                         if fused < fault_budget then
                           List.map (fun (kind, w', v) -> (kind, (w', k v))) flts
@@ -1164,7 +1183,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                            incr brc;
                            if idx = s then begin
                              go w' (resume si prog') cands crashes
-                               (ev_step si.E.si_tid si.E.si_label :: trace)
+                               (Ev_step (si.E.si_tid, si.E.si_label) :: trace)
                                (depth + 1) fused fsite' rpath
                                ~dirty:(E.crash_relevant si.E.si_fp)
                                ~stack:({ E.f_node = node; f_step = si } :: stack)
@@ -1179,7 +1198,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                            if idx = s then begin
                              in_fault_branch ~live:false fsite kind (fun () ->
                                  go w' (resume si prog') cands crashes
-                                   (ev_fault si.E.si_tid si.E.si_label kind :: trace)
+                                   (Ev_fault (si.E.si_tid, si.E.si_label, kind) :: trace)
                                    (depth + 1) (fused + 1) fsite' rpath ~dirty:true
                                    ~stack:({ E.f_node = node; f_step = si } :: stack)
                                    ~sleep:[]);
@@ -1230,7 +1249,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                           let idx = !brc in
                           incr brc;
                           go w' (resume si prog') cands crashes
-                            (ev_step si.E.si_tid si.E.si_label :: trace)
+                            (Ev_step (si.E.si_tid, si.E.si_label) :: trace)
                             (depth + 1) fused fsite'
                             (if emitting then idx :: rpath else rpath)
                             ~dirty:(E.crash_relevant si.E.si_fp)
@@ -1247,7 +1266,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
                           cov_fault_hit si.E.si_label kind;
                           in_fault_branch ~live:true fsite kind (fun () ->
                               go w' (resume si prog') cands crashes
-                                (ev_fault si.E.si_tid si.E.si_label kind :: trace)
+                                (Ev_fault (si.E.si_tid, si.E.si_label, kind) :: trace)
                                 (depth + 1) (fused + 1) fsite'
                                 (if emitting then idx :: rpath else rpath)
                                 ~dirty:true
@@ -1511,8 +1530,10 @@ let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?dom
           (fun (w, cands) (call, prog) ->
             let tid = fresh_tid () in
             let cands = tk.add_pending tid call cands in
-            let w, v, trace' = run_solo ~what:"post" ~mk_ev:ev_pstep w prog trace in
-            let trace' = ev_post_return tid call v :: trace' in
+            let w, v, trace' =
+              run_solo ~what:"post" ~mk_ev:(fun label -> Ev_pstep label) w prog trace
+            in
+            let trace' = Ev_post_return (tid, call, v) :: trace' in
             (w, tk.respond tid v trace' cands))
           (w, cands) cfg.post
       in
@@ -1536,8 +1557,7 @@ let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?dom
           then begin
             ctr.c_crashes <- ctr.c_crashes + 1;
             Obs.Trace.instant ~cat:"crash" "crash_injection";
-            recover (cfg.crash_world w) (crashes + 1)
-              (ev_crash ~during_recovery:true :: trace)
+            recover (cfg.crash_world w) (crashes + 1) (Ev_crash_recovery :: trace)
           end
           else
             match prog with
@@ -1557,14 +1577,13 @@ let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?dom
                   (Violation (mk_failure (Fmt.str "recovery blocked at %s" label) trace))
               | Sched.Prog.Steps outs ->
                 let w', v = pick outs in
-                go w' (k v) (ev_rstep label :: trace))
+                go w' (k v) (Ev_rstep label :: trace))
         in
         go w cfg.recovery trace
       in
       let w, trace =
         timed_phase "recovery" (fun us -> ctr.c_recovery_us <- ctr.c_recovery_us +. us)
-          (fun () ->
-            recover (cfg.crash_world w) crashes (ev_crash ~during_recovery:false :: trace))
+          (fun () -> recover (cfg.crash_world w) crashes (Ev_crash :: trace))
       in
       timed_post w (tk.crash_cands trace sat) trace
     in
@@ -1597,7 +1616,7 @@ let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?dom
           match find [] lives with
           | None -> (lives, cands, trace)
           | Some (others, l, v) ->
-            let trace = ev_return l.tid l.call v :: trace in
+            let trace = Ev_return (l.tid, l.call, v) :: trace in
             let cands = tk.respond l.tid v trace cands in
             (match l.rest with
             | [] -> settle others cands trace
@@ -1605,7 +1624,7 @@ let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?dom
               let tid = fresh_tid () in
               let live' = { tid; call = call'; prog = prog'; rest = rest' } in
               settle (live' :: others) (tk.add_pending tid call' cands)
-                (ev_invoke tid call' :: trace))
+                (Ev_invoke (tid, call') :: trace))
         in
         let lives, cands, trace = settle lives cands trace in
         if lives = [] then
@@ -1642,7 +1661,7 @@ let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?dom
                                (fun j l' -> if i = j then { l' with prog = k v } else l')
                                lives
                            in
-                           (w', lives', ev_step l.tid label :: trace)) ]))
+                           (w', lives', Ev_step (l.tid, label) :: trace)) ]))
                  lives)
           in
           match steppable with

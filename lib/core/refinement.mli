@@ -122,7 +122,10 @@ type event = {
   ev_kind : event_kind;
   ev_phase : event_phase;
   ev_label : string;  (** short label: op name or atomic-step label *)
-  ev_text : string;  (** the classic one-line rendering of this event *)
+  ev_text : string;
+      (** the classic one-line rendering of this event.  Exploration records
+          events unrendered; the label and this text are built when the
+          failure is, so a check that holds formats no event text. *)
 }
 
 type failure = {
