@@ -273,6 +273,16 @@ let test_max_seconds () =
      Alcotest.fail "expected Failure"
    with Failure msg ->
      Alcotest.(check bool) "prefixed" true (Astring_contains.contains msg "Budget_exhausted:"));
+  (* random walks honour the config's budget too *)
+  (match
+     R.check_random ~schedules:200
+       { (RD.checker_config ~size:2 ~max_crashes:1
+            [ [ RD.write_call 0 (bv "x") ]; [ RD.read_call 0 ] ])
+         with R.max_seconds = Some 0. }
+   with
+  | R.Budget_exhausted _ -> ()
+  | R.Refinement_holds _ | R.Refinement_violated _ ->
+    Alcotest.fail "expected Budget_exhausted from check_random under max_seconds:0.");
   (* a generous budget changes nothing *)
   ignore
     (expect_holds "holds under generous max_seconds"
