@@ -8,7 +8,7 @@
     dynamic partial-order reduction (DPOR, Flanagan–Godefroid style) that
     {!Refinement.check} uses to prune such redundant schedules:
 
-    - {b Naive}: the original exhaustive enumeration, unchanged;
+    - {b Naive}: every enabled step and every crash point at every node;
     - {b Dpor}: backtracking-based DPOR over thread steps, plus crash-point
       pruning (a crash branch is skipped when it would reach the exact same
       recovery state and linearization obligations as an already-explored
@@ -40,10 +40,14 @@ val pp_strategy : strategy Fmt.t
     Used by {!Refinement.check}; exposed for the differential harness and
     the property tests over the dependence relation. *)
 
+(** One running thread's next atomic step at a node, as the checker's step
+    function computes it for every strategy. *)
 type 'w step_info = {
   si_tid : int;
   si_label : string;
-  si_fp : Sched.Footprint.t;  (** footprint in the node's world *)
+  si_fp : Sched.Footprint.t;
+      (** footprint in the node's world; [Unknown] where no footprints are
+          computed (naive search, random walks) *)
   si_visible : bool;
       (** globally dependent: durable write, [Unknown] footprint, some
           outcome completes the operation, or a fault branch will be

@@ -572,55 +572,77 @@ let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) 
   { saturate; add_pending; respond; crash_cands }
 
 (* ------------------------------------------------------------------ *)
-(* One exploration engine instance                                      *)
+(* The exploration kernel                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Outcome of a single engine instance; Violation/Budget never escape an
-   instance, so parallel work items can report independently and the driver
-   picks the deterministic winner. *)
+(* Outcome of one kernel instance; Violation/Budget never escape an
+   instance, so parallel work items and walks report independently and the
+   caller picks the deterministic winner. *)
 type inst_outcome = I_ok | I_viol of failure | I_budget
 
-(* Replay selection stops branch enumeration at the chosen index, so
-   branches past it (whose [action w] phase 1 never evaluated before the
-   point this work item was emitted) are not re-executed. *)
-exception Break
+(* A kernel instance either searches the schedule tree, taking every
+   alternative at each choice point, or walks it, drawing one.
 
-(* Run one DFS engine over the schedule tree.  Three modes share the code:
-
-   - whole run ([cutoff = max_int], no [emit], empty [replay]): the legacy
-     sequential checker, bit-for-bit;
+   A search runs in one of three modes:
+   - whole run ([cutoff = max_int], no [emit], empty [replay_path]);
    - splitting phase ([emit = Some f]): explores (and fully accounts) the
      region above [cutoff]; on reaching a node at depth >= [cutoff] it
      emits the path of branch indices leading there as a work item and
      backs off — the node itself is untouched;
-   - work item ([replay = path]): replays the recorded branch choices from
-     the root without counting anything (phase 1 owns those stats), then
-     explores the subtree below the cutoff node live.
+   - work item ([replay_path] non-empty): replays the recorded branch
+     choices from the root without counting anything (phase 1 owns those
+     stats), then explores the subtree below the cutoff node live.
 
    Branch indices number, per node, the deterministic enumeration the live
-   code performs: for each runnable thread in order, each normal outcome
+   code performs: for each enabled thread in order, each normal outcome
    then each fault branch.  Crash branches are never indexed — they hang
    off a node and are wholly explored by whichever instance visits that
    node live.  The decomposition [phase-1 work + each item at its emission
    point] is exactly the sequential DFS, so merged stats and the first
-   counterexample are independent of the domain count. *)
-let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadline
-    ~step_base ~cutoff ~emit ~replay_path
-    ~(fp : (bool * string option) option) ~sched_seen ~sched_lock ~(ctr : counters) :
-    inst_outcome =
+   counterexample are independent of the domain count.
+
+   Walks run schedules [first..last], each from scratch and each drawing
+   from its own RNG seeded by [(seed, index)]. *)
+type mode =
+  | Search of {
+      strategy : Explore.strategy;
+      cutoff : int;
+      emit : (int list -> unit) option;
+      replay_path : int list;
+      fp : (bool * string option) option;  (** fingerprinting: symmetry, key prefix *)
+    }
+  | Walks of { seed : int; crash_prob : float; first : int; last : int; schedules : int }
+
+let run_instance (type w s) (cfg : (w, s) config) ~mode ~fault_budget ~deadline ~step_base
+    ~sched_seen ~sched_lock ~(ctr : counters) : inst_outcome =
   let spec = cfg.spec in
-  let replay = ref replay_path in
-  let counting = ref (replay_path = []) in
+  let counting = ref true in
   let tk = make_tracker spec ctr ~live:counting in
-  let emitting = emit <> None in
-  let fp_on = fp <> None in
-  let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp_on then 4096 else 1) in
-  let vstr v = Fmt.str "%a" V.pp v in
   let next_tid = ref 0 in
   let fresh_tid () =
     let t = !next_tid in
     incr next_tid;
     t
+  in
+
+  (* Choice points.  A search takes every alternative; a walk draws one from
+     [rng] — the crash coin first, then the thread, then the outcome, so a
+     walk's draws are a function of its seed and index alone. *)
+  let rng = ref None in
+  let crash_prob = match mode with Walks w -> w.crash_prob | Search _ -> 0. in
+  let choose xs =
+    match !rng with
+    | None -> xs
+    | Some r -> [ List.nth xs (Random.State.int r (List.length xs)) ]
+  in
+  (* [crash_or ~can crash rest]: a search explores the crash (when [can])
+     and then the rest; a walk takes one of the two. *)
+  let crash_or ~can crash rest =
+    match !rng with
+    | None ->
+      if can then crash ();
+      rest ()
+    | Some r -> if can && Random.State.float r 1.0 < crash_prob then crash () else rest ()
   in
 
   (* Coverage sites (DESIGN.md S20).  A crash site is named by the newest
@@ -635,9 +657,6 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
   let crash_site = function
     | [] -> "init"
     | e :: _ -> phase_name (phase_of e) ^ ":" ^ label_of e
-  in
-  let cov_crash_hit trace =
-    if Obs.Coverage.enabled () then Obs.Coverage.hit Obs.Coverage.Crash (crash_site trace)
   in
   let cov_crash_skip trace =
     if Obs.Coverage.enabled () then
@@ -655,6 +674,11 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
   let cov_fault_hit label kind =
     if Obs.Coverage.enabled () then
       Obs.Coverage.hit Obs.Coverage.Fault (fault_site label kind)
+  in
+  let note_crash trace =
+    ctr.c_crashes <- ctr.c_crashes + 1;
+    Obs.Trace.instant ~cat:"crash" "crash_injection";
+    if Obs.Coverage.enabled () then Obs.Coverage.hit Obs.Coverage.Crash (crash_site trace)
   in
 
   (* Process all finished threads' responses eagerly, invoking each thread's
@@ -759,8 +783,21 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
     Fun.protect ~finally:(fun () -> next_tid := saved) f
   in
 
-  (* Run the post-phase probe operations sequentially (exploring any
-     nondeterminism in their actions), then count one finished execution. *)
+  (* Recovery and the post probes run one program alone: undefined
+     behaviour or a blocked step is a violation. *)
+  let solo_outcomes what label result trace =
+    match result with
+    | Sched.Prog.Ub reason ->
+      raise
+        (Violation
+           (mk_failure (Fmt.str "%s hit undefined behaviour at %s: %s" what label reason) trace))
+    | Sched.Prog.Steps [] ->
+      raise (Violation (mk_failure (Fmt.str "%s blocked at %s" what label) trace))
+    | Sched.Prog.Steps outs -> outs
+  in
+
+  (* Run the post-phase probe operations sequentially, then count one
+     finished execution. *)
   let rec run_post w cands trace ops =
     scoped_tids @@ fun () ->
     match ops with
@@ -778,17 +815,9 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
               run_post w cands trace rest)
         | Sched.Prog.Atomic { label; action; k; _ } ->
           bump_steps ();
-          (match action w with
-          | Sched.Prog.Ub reason ->
-            raise
-              (Violation
-                 (mk_failure
-                    (Fmt.str "post op hit undefined behaviour at %s: %s" label reason)
-                    trace))
-          | Sched.Prog.Steps [] ->
-            raise (Violation (mk_failure (Fmt.str "post op blocked at %s" label) trace))
-          | Sched.Prog.Steps outs ->
-            List.iter (fun (w', v) -> go w' (k v) (Ev_pstep label :: trace)) outs)
+          List.iter
+            (fun (w', v) -> go w' (k v) (Ev_pstep label :: trace))
+            (choose (solo_outcomes "post op" label (action w) trace))
       in
       go w prog trace
   in
@@ -797,251 +826,130 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
         run_post w cands trace cfg.post)
   in
 
-  (* After recovery completes: one atomic spec crash transition; all
-     operations still in flight at the crash are dropped (those that
-     linearized keep their effect in the candidate state). *)
-  let finish_recovery w cands trace =
-    run_post w (tk.crash_cands trace cands) trace cfg.post
-  in
-
   (* Recovery runs single-threaded; it may crash and restart (idempotence,
-     §5.5).  [crashes] counts injected crashes on this path. *)
+     §5.5).  [crashes] counts injected crashes on this path.  Once it
+     completes: one atomic spec crash transition — all operations still in
+     flight at the crash are dropped (those that linearized keep their
+     effect in the candidate state) — then the post probes. *)
   let rec run_recovery w cands crashes trace =
-    let rec go w prog crashes trace =
+    let rec go w prog trace =
       (* marks are instantaneous annotations: consume them before branching
          so the crash opportunity at this world is explored exactly once *)
       let prog = Sched.Prog.strip_marks prog in
-      (* crash-during-recovery branch *)
-      if crashes < cfg.max_crashes then begin
-        ctr.c_crashes <- ctr.c_crashes + 1;
-        Obs.Trace.instant ~cat:"crash" "crash_injection";
-        cov_crash_hit trace;
-        run_recovery (cfg.crash_world w) cands (crashes + 1) (Ev_crash_recovery :: trace)
-      end;
-      match prog with
-      | Sched.Prog.Mark _ -> assert false (* stripped above *)
-      | Sched.Prog.Done _ -> finish_recovery w cands trace
-      | Sched.Prog.Atomic { label; action; k; _ } ->
-        bump_steps ();
-        (match action w with
-        | Sched.Prog.Ub reason ->
-          raise
-            (Violation
-               (mk_failure
-                  (Fmt.str "recovery hit undefined behaviour at %s: %s" label reason)
-                  trace))
-        | Sched.Prog.Steps [] ->
-          raise (Violation (mk_failure (Fmt.str "recovery blocked at %s" label) trace))
-        | Sched.Prog.Steps outs ->
-          List.iter (fun (w', v) -> go w' (k v) crashes (Ev_rstep label :: trace)) outs)
+      crash_or ~can:(crashes < cfg.max_crashes)
+        (fun () ->
+          note_crash trace;
+          run_recovery (cfg.crash_world w) cands (crashes + 1) (Ev_crash_recovery :: trace))
+        (fun () ->
+          match prog with
+          | Sched.Prog.Mark _ -> assert false (* stripped above *)
+          | Sched.Prog.Done _ -> run_post w (tk.crash_cands trace cands) trace cfg.post
+          | Sched.Prog.Atomic { label; action; k; _ } ->
+            bump_steps ();
+            List.iter
+              (fun (w', v) -> go w' (k v) (Ev_rstep label :: trace))
+              (choose (solo_outcomes "recovery" label (action w) trace)))
     in
-    scoped_tids (fun () -> go w cfg.recovery crashes trace)
+    scoped_tids (fun () -> go w cfg.recovery trace)
   in
-  let timed_recovery w cands crashes trace =
-    timed_phase "recovery" (fun us -> ctr.c_recovery_us <- ctr.c_recovery_us +. us)
-      (fun () -> run_recovery w cands crashes trace)
-  in
-
-  (* A thread's continuation identity: MD5 over the structural serialization
-     of (current call, program position, remaining ops), with [Closures] so
-     the program's continuation closures — code pointer plus captured
-     environment — serialize too.  Equal keys mean structurally identical
-     continuations, hence identical future behaviour; distinct keys for
-     behaviourally equal threads only cost pruning, never soundness.  Code
-     pointers are stable within a process (and across its domains), which is
-     exactly the lifetime of the intern table's relevance. *)
-  let thread_key l =
-    Digest.to_hex (Digest.string (Marshal.to_string (l.call, l.prog, l.rest) [ Marshal.Closures ]))
+  (* A main-phase crash: recovery from the crashed world, which starts
+     with [crashes] counted against [max_crashes]. *)
+  let crash_branch w cands crashes trace =
+    note_crash trace;
+    vacuous_ok (fun () ->
+        let sat = tk.saturate cands in
+        timed_phase "recovery" (fun us -> ctr.c_recovery_us <- ctr.c_recovery_us +. us)
+          (fun () -> run_recovery (cfg.crash_world w) sat crashes (Ev_crash :: trace)))
   in
 
-  (* Global fingerprint pruning (DESIGN.md S21): at a settled node, digest
-     everything the subtree is a function of; if this instance has explored
-     an equal digest before, the whole subtree (crash branch included) is
-     redundant.  Naive strategy only — under DPOR the backtrack sets of the
-     pruned path's nodes would be lost. *)
-  let fp_prune w lives cands crashes fused fsite =
-    match fp with
-    | None -> false
-    | Some (symmetry, key_prefix) ->
-      let st =
-        {
-          Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
-          f_cands =
-            List.map
-              (fun c ->
-                {
-                  Fingerprint.f_state = Fmt.str "%a" spec.Spec.pp_state c.st;
-                  f_pend =
-                    List.map
-                      (fun p ->
-                        {
-                          Fingerprint.f_ptid = p.ptid;
-                          f_op = p.pcall.Spec.op;
-                          f_args = List.map vstr p.pcall.Spec.args;
-                          f_result = Option.map vstr p.result;
-                        })
-                      c.pend;
-                })
-              cands;
-          f_phase = "main";
-          f_crashes = crashes;
-          f_fused = fused;
-          f_fsite = fsite;
-          f_threads =
-            List.map
-              (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l; f_hist = [] })
-              (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
-        }
-      in
-      let t, _fresh = Fingerprint.digest ~symmetry ?key_prefix st in
-      let id = Fingerprint.id t in
-      if Hashtbl.mem fp_seen id then begin
-        ctr.c_fp_hits <- ctr.c_fp_hits + 1;
-        true
-      end
-      else begin
-        Hashtbl.add fp_seen id ();
-        ctr.c_fp_misses <- ctr.c_fp_misses + 1;
-        false
-      end
+  (* The main phase's step function: every running thread's next atomic
+     step at [w], in thread order — label, normal branches, fault branches
+     (when [faults]) and whether the step is a fault site.  Blocked threads
+     are left out.  Undefined behaviour in any thread's step is a violation,
+     raised here, before any of the node's branches is explored.  Only
+     [footprints] evaluates the steps' footprints for DPOR; otherwise every
+     step counts as [Unknown], dependent with everything and crash-dirty. *)
+  let enabled_steps ~live ~footprints ~faults w lives trace =
+    List.filter_map
+      (fun l ->
+        match l.prog with
+        | Sched.Prog.Done _ | Sched.Prog.Mark _ -> assert false (* settled *)
+        | Sched.Prog.Atomic { label; fp; action; faults = fault_points; k } ->
+          (match action w with
+          | Sched.Prog.Ub reason ->
+            raise
+              (Violation
+                 (mk_failure
+                    (Fmt.str "thread %d hit undefined behaviour at %s: %s" l.tid label reason)
+                    trace))
+          | Sched.Prog.Steps [] -> None
+          | Sched.Prog.Steps outs ->
+            let branches = List.map (fun (w', v) -> (w', k v)) outs in
+            let flts = fault_points w in
+            if live then cov_fault_sites label flts;
+            let fault_branches =
+              if faults then List.map (fun (kind, w', v) -> (kind, (w', k v))) flts else []
+            in
+            let fp = if footprints then fp w else Sched.Footprint.unknown in
+            Some
+              { Explore.si_tid = l.tid; si_label = label; si_fp = fp;
+                (* a step whose fault branches will be explored is globally
+                   dependent, like an [Unknown] footprint: faulted and
+                   normal outcomes may diverge arbitrarily, so it is never
+                   reordered *)
+                si_visible =
+                  Explore.crash_relevant fp
+                  || fault_branches <> []
+                  || List.exists
+                       (fun (_, p) ->
+                         match Sched.Prog.strip_marks p with
+                         | Sched.Prog.Done _ -> true
+                         | _ -> false)
+                       branches;
+                si_branches = branches;
+                si_faults = fault_branches;
+                si_fault_site = flts <> [] }))
+      lives
+  in
+  let resume lives si prog' =
+    List.map (fun l -> if l.tid = si.Explore.si_tid then { l with prog = prog' } else l) lives
+  in
+  let deadlock lives trace =
+    if cfg.fail_on_deadlock then
+      raise
+        (Violation
+           (mk_failure
+              (Fmt.str "deadlock: threads %s all blocked"
+                 (String.concat "," (List.map (fun l -> string_of_int l.tid) lives)))
+              trace))
   in
 
-  (* Pop the next replayed branch index, if any.  [None] means this node is
-     explored live. *)
-  let pop_replay () =
-    match !replay with
-    | [] -> None
-    | i :: rest ->
-      replay := rest;
-      Some i
+  let initial () =
+    let lives, cands =
+      List.fold_left
+        (fun (lives, cands) ops ->
+          match ops with
+          | [] -> (lives, cands)
+          | (call, prog) :: rest ->
+            let tid = fresh_tid () in
+            ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
+        ([], [ { st = spec.Spec.init; pend = [] } ])
+        cfg.threads
+    in
+    (List.rev lives, cands)
   in
 
-  (* Main exploration: interleave threads; crash at any point; while the
-     fault budget [fused < fault_budget] lasts, every fault point also
-     branches.  [depth] is the schedule depth of this path, tracked as a
-     high-water mark; [fsite] numbers the fault-eligible steps committed on
-     this path; [rpath] is the reversed branch-index path (maintained only
-     when emitting work items). *)
-  let rec explore w lives cands crashes trace depth fused fsite rpath =
-    scoped_tids @@ fun () ->
-    let sel = pop_replay () in
-    let live = sel = None in
-    match emit with
-    | Some e when live && depth >= cutoff -> e (List.rev rpath)
-    | _ ->
-      counting := live;
-      if live && depth > ctr.c_frontier then ctr.c_frontier <- depth;
-      (match settle lives cands trace with
-      | exception Vacuous -> if live then ctr.c_vacuous <- ctr.c_vacuous + 1
-      | lives, cands, trace ->
-        counting := true;
-        if live && fp_prune w lives cands crashes fused fsite then ()
-        else begin
-          (* crash branch: a crash may strike at any point, including after
-             all operations completed (durability of acknowledged writes).
-             Never replayed: the instance that visits this node live owns
-             it. *)
-          if live && crashes < cfg.max_crashes then begin
-            ctr.c_crashes <- ctr.c_crashes + 1;
-            Obs.Trace.instant ~cat:"crash" "crash_injection";
-            cov_crash_hit trace;
-            vacuous_ok (fun () ->
-                let sat = tk.saturate cands in
-                timed_recovery (cfg.crash_world w) sat (crashes + 1) (Ev_crash :: trace))
-          end;
-          if lives = [] then (if live then timed_post w cands trace)
-          else begin
-            (* schedule branches *)
-            let ran = ref false in
-            let brc = ref 0 in
-            (try
-               List.iteri
-                 (fun i l ->
-                   match l.prog with
-                   | Sched.Prog.Done _ | Sched.Prog.Mark _ ->
-                     assert false (* settled/stripped above *)
-                   | Sched.Prog.Atomic { label; action; faults; k; _ } ->
-                     (match action w with
-                     | Sched.Prog.Ub reason ->
-                       raise
-                         (Violation
-                            (mk_failure
-                               (Fmt.str "thread %d hit undefined behaviour at %s: %s"
-                                  l.tid label reason)
-                               trace))
-                     | Sched.Prog.Steps [] -> () (* blocked *)
-                     | Sched.Prog.Steps outs ->
-                       ran := true;
-                       if live then begin
-                         bump_steps ();
-                         note_label label
-                       end;
-                       let flts = faults w in
-                       if live then
-                         cov_fault_sites label flts;
-                       let fsite' = if flts <> [] then fsite + 1 else fsite in
-                       let resume j v =
-                         List.mapi
-                           (fun j' l' -> if j = j' then { l' with prog = k v } else l')
-                           lives
-                       in
-                       List.iter
-                         (fun (w', v) ->
-                           let idx = !brc in
-                           incr brc;
-                           let child () =
-                             explore w' (resume i v) cands crashes
-                               (Ev_step (l.tid, label) :: trace)
-                               (depth + 1) fused fsite'
-                               (if emitting then idx :: rpath else rpath)
-                           in
-                           match sel with
-                           | None -> child ()
-                           | Some s when s = idx ->
-                             child ();
-                             raise Break
-                           | Some _ -> ())
-                         outs;
-                       (* fault branches, after the normal outcomes so the
-                          first counterexample found is path-deterministic *)
-                       if fused < fault_budget then
-                         List.iter
-                           (fun (kind, w', v) ->
-                             let idx = !brc in
-                             incr brc;
-                             let child () =
-                               if live then cov_fault_hit label kind;
-                               in_fault_branch ~live fsite kind (fun () ->
-                                   explore w' (resume i v) cands crashes
-                                     (Ev_fault (l.tid, label, kind) :: trace)
-                                     (depth + 1) (fused + 1) fsite'
-                                     (if emitting then idx :: rpath else rpath))
-                             in
-                             match sel with
-                             | None -> child ()
-                             | Some s when s = idx ->
-                               child ();
-                               raise Break
-                             | Some _ -> ())
-                           flts))
-                 lives
-             with Break -> ());
-            if live && (not !ran) && cfg.fail_on_deadlock then
-              raise
-                (Violation
-                   (mk_failure
-                      (Fmt.str "deadlock: threads %s all blocked"
-                         (String.concat ","
-                            (List.map (fun l -> string_of_int l.tid) lives)))
-                      trace))
-          end
-        end)
-  in
+  (* The search.  Interleave threads; crash at any point; while the fault
+     budget [fused < fault_budget] lasts, every fault point also branches.
+     [depth] is the schedule depth of this path, tracked as a high-water
+     mark; [fsite] numbers the fault-eligible steps committed on this path;
+     [rpath] is the reversed branch-index path (maintained only when
+     emitting work items).
 
-  (* Partial-order-reduced exploration: Flanagan–Godefroid DPOR over thread
-     steps, optional sleep sets, plus crash-point pruning.  Soundness rests
-     on three conservative rules (cross-validated against [Naive] by the
-     differential harness in test/test_explore.ml):
+     Every strategy is a policy at each node over the same step function.
+     DPOR (Flanagan–Godefroid, optional sleep sets, plus crash-point
+     pruning) rests on three conservative rules, cross-validated against
+     naive by the differential harness in test/test_explore.ml:
      - a crash branch is skipped only at "clean" nodes — the step into the
        node wrote no durable state ([dirty] from its footprint) and settling
        observed no response/invocation (trace unchanged) — so crashing here
@@ -1055,279 +963,343 @@ let run_instance (type w s) (cfg : (w, s) config) ~strategy ~fault_budget ~deadl
      - threads blocked or unannotated degrade to naive exploration around
        them.
 
-     Parallel mode adds a fourth, also conservative, rule: every node above
-     the split cutoff explores ALL enabled steps (full backtrack set, no
-     sleep) — so no deep race ever needs to add a backtrack point to a
-     shallow node owned by another instance (the add would be a no-op
-     anyway).  The shallow region loses some reduction; the subtrees keep
-     full DPOR.  Within parallel mode the exploration is a fixed function
-     of [split_depth], hence identical for every domain count. *)
-  let explore_por ~sleep_sets w0 lives0 cands0 =
+     A conservative node explores ALL enabled steps in thread order, with
+     no sleep set and no race detection.  Naive makes every node
+     conservative, and as it computes no footprints (every step [Unknown],
+     hence crash-dirty) it never skips a crash; it pushes no stack frames
+     either, since nothing below reads them.  Parallel DPOR makes the nodes
+     above the split cutoff conservative — so no deep race ever needs to
+     add a backtrack point to a shallow node owned by another instance (the
+     add would be a no-op anyway).  The shallow region loses some
+     reduction; the subtrees keep full DPOR.  Within parallel mode the
+     exploration is a fixed function of the split depth, hence identical
+     for every domain count. *)
+  let search ~strategy ~cutoff ~emit ~replay_path ~fp =
     let module E = Explore in
+    let naive = strategy = E.Naive in
+    let sleep_sets = strategy = E.Dpor_sleep in
+    let emitting = emit <> None in
+    let replay = ref replay_path in
+    counting := replay_path = [];
+    (* A thread's continuation identity: MD5 over the structural serialization
+       of (current call, program position, remaining ops), with [Closures] so
+       the program's continuation closures — code pointer plus captured
+       environment — serialize too.  Equal keys mean structurally identical
+       continuations, hence identical future behaviour; distinct keys for
+       behaviourally equal threads only cost pruning, never soundness.  Code
+       pointers are stable within a process (and across its domains), which is
+       exactly the lifetime of the intern table's relevance. *)
+    let thread_key l =
+      Digest.to_hex
+        (Digest.string (Marshal.to_string (l.call, l.prog, l.rest) [ Marshal.Closures ]))
+    in
+    let vstr v = Fmt.str "%a" V.pp v in
+    let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp <> None then 4096 else 1) in
+    (* Global fingerprint pruning (DESIGN.md S21): at a settled node, digest
+       everything the subtree is a function of; if this instance has
+       explored an equal digest before, the whole subtree (crash branch
+       included) is redundant.  Naive strategy only — under DPOR the
+       backtrack sets of the pruned path's nodes would be lost. *)
+    let fp_prune w lives cands crashes fused fsite =
+      match fp with
+      | None -> false
+      | Some (symmetry, key_prefix) ->
+        let st =
+          {
+            Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
+            f_cands =
+              List.map
+                (fun c ->
+                  {
+                    Fingerprint.f_state = Fmt.str "%a" spec.Spec.pp_state c.st;
+                    f_pend =
+                      List.map
+                        (fun p ->
+                          {
+                            Fingerprint.f_ptid = p.ptid;
+                            f_op = p.pcall.Spec.op;
+                            f_args = List.map vstr p.pcall.Spec.args;
+                            f_result = Option.map vstr p.result;
+                          })
+                        c.pend;
+                  })
+                cands;
+            f_phase = "main";
+            f_crashes = crashes;
+            f_fused = fused;
+            f_fsite = fsite;
+            f_threads =
+              List.map
+                (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l; f_hist = [] })
+                (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
+          }
+        in
+        let t, _fresh = Fingerprint.digest ~symmetry ?key_prefix st in
+        let id = Fingerprint.id t in
+        if Hashtbl.mem fp_seen id then begin
+          ctr.c_fp_hits <- ctr.c_fp_hits + 1;
+          true
+        end
+        else begin
+          Hashtbl.add fp_seen id ();
+          ctr.c_fp_misses <- ctr.c_fp_misses + 1;
+          false
+        end
+    in
     let rec go w lives cands crashes trace depth fused fsite rpath ~dirty ~stack ~sleep =
       scoped_tids @@ fun () ->
-      let sel = pop_replay () in
+      (* the next replayed branch index; [None]: this node is explored live *)
+      let sel =
+        match !replay with
+        | [] -> None
+        | i :: rest ->
+          replay := rest;
+          Some i
+      in
       let live = sel = None in
       match emit with
       | Some e when live && depth >= cutoff -> e (List.rev rpath)
-      | _ ->
-        (* conservative node: a shallow node in parallel mode (splitting
-           live, or mirrored during item replay) *)
-        let conservative = (emitting && live) || sel <> None in
+      | _ -> (
         counting := live;
         if live && depth > ctr.c_frontier then ctr.c_frontier <- depth;
-        (match settle lives cands trace with
+        match settle lives cands trace with
         | exception Vacuous -> if live then ctr.c_vacuous <- ctr.c_vacuous + 1
         | lives, cands, trace' ->
           counting := true;
           let dirty = dirty || not (trace' == trace) in
           let trace = trace' in
-          if live && crashes < cfg.max_crashes then begin
-            if dirty then begin
-              ctr.c_crashes <- ctr.c_crashes + 1;
-              Obs.Trace.instant ~cat:"crash" "crash_injection";
-              cov_crash_hit trace;
-              vacuous_ok (fun () ->
-                  let sat = tk.saturate cands in
-                  timed_recovery (cfg.crash_world w) sat (crashes + 1) (Ev_crash :: trace))
-            end
-            else begin
-              ctr.c_crash_skips <- ctr.c_crash_skips + 1;
-              cov_crash_skip trace
-            end
-          end;
-          if lives = [] then (if live then timed_post w cands trace)
+          if live && fp_prune w lives cands crashes fused fsite then ()
           else begin
-            let infos =
-              List.filter_map
-                (fun l ->
-                  match l.prog with
-                  | Sched.Prog.Done _ | Sched.Prog.Mark _ ->
-                    assert false (* settled/stripped above *)
-                  | Sched.Prog.Atomic { label; fp; action; faults; k } ->
-                    (match action w with
-                    | Sched.Prog.Ub reason ->
-                      raise
-                        (Violation
-                           (mk_failure
-                              (Fmt.str "thread %d hit undefined behaviour at %s: %s"
-                                 l.tid label reason)
-                              trace))
-                    | Sched.Prog.Steps [] -> None (* blocked *)
-                    | Sched.Prog.Steps outs ->
-                      let branches = List.map (fun (w', v) -> (w', k v)) outs in
-                      let flts = faults w in
-                      if live then
-                        cov_fault_sites label flts;
-                      let fault_branches =
-                        if fused < fault_budget then
-                          List.map (fun (kind, w', v) -> (kind, (w', k v))) flts
-                        else []
-                      in
-                      let fp = fp w in
-                      let responds =
-                        List.exists
-                          (fun (_, p) ->
-                            match Sched.Prog.strip_marks p with
-                            | Sched.Prog.Done _ -> true
-                            | _ -> false)
-                          branches
-                      in
-                      Some
-                        { E.si_tid = l.tid; si_label = label; si_fp = fp;
-                          (* a step whose fault branches will be explored is
-                             globally dependent, like an [Unknown] footprint:
-                             faulted and normal outcomes may diverge
-                             arbitrarily, so it is never reordered *)
-                          si_visible =
-                            E.crash_relevant fp || responds || fault_branches <> [];
-                          si_branches = branches;
-                          si_faults = fault_branches;
-                          si_fault_site = flts <> [] }))
-                lives
-            in
-            match infos with
-            | [] ->
-              if live && cfg.fail_on_deadlock then
-                raise
-                  (Violation
-                     (mk_failure
-                        (Fmt.str "deadlock: threads %s all blocked"
-                           (String.concat ","
-                              (List.map (fun l -> string_of_int l.tid) lives)))
-                        trace))
-            | _ :: _ ->
-              let node = E.node ~sleep:(if conservative then [] else sleep) infos in
-              if conservative then
-                node.E.n_backtrack <- List.map (fun si -> si.E.si_tid) infos;
-              if not conservative then E.detect_races stack node;
-              let resume si prog' =
-                List.map
-                  (fun l -> if l.tid = si.E.si_tid then { l with prog = prog' } else l)
-                  lives
-              in
-              (match sel with
-              | Some s ->
-                (* replay: execute only the selected branch, with the node
-                   mirrored on the stack so deep race detection sees the
-                   same frames (its backtrack adds are no-ops here) *)
-                let brc = ref 0 in
-                (try
-                   List.iter
-                     (fun si ->
-                       node.E.n_done <- si.E.si_tid :: node.E.n_done;
-                       let fsite' = if si.E.si_fault_site then fsite + 1 else fsite in
-                       List.iter
-                         (fun (w', prog') ->
-                           let idx = !brc in
-                           incr brc;
-                           if idx = s then begin
-                             go w' (resume si prog') cands crashes
-                               (Ev_step (si.E.si_tid, si.E.si_label) :: trace)
-                               (depth + 1) fused fsite' rpath
-                               ~dirty:(E.crash_relevant si.E.si_fp)
-                               ~stack:({ E.f_node = node; f_step = si } :: stack)
-                               ~sleep:[];
-                             raise Break
-                           end)
-                         si.E.si_branches;
-                       List.iter
-                         (fun (kind, (w', prog')) ->
-                           let idx = !brc in
-                           incr brc;
-                           if idx = s then begin
-                             in_fault_branch ~live:false fsite kind (fun () ->
-                                 go w' (resume si prog') cands crashes
-                                   (Ev_fault (si.E.si_tid, si.E.si_label, kind) :: trace)
-                                   (depth + 1) (fused + 1) fsite' rpath ~dirty:true
-                                   ~stack:({ E.f_node = node; f_step = si } :: stack)
-                                   ~sleep:[]);
-                             raise Break
-                           end)
-                         si.E.si_faults)
-                     infos
-                 with Break -> ())
-              | None ->
-                let explored = ref 0 and slept = ref 0 in
-                let first_explored = ref None in
-                let z = ref sleep in
-                let brc = ref 0 in
-                let rec drive () =
-                  match E.next_candidate node with
-                  | None -> ()
-                  | Some si ->
-                    node.E.n_done <- si.E.si_tid :: node.E.n_done;
-                    if (not conservative) && sleep_sets && List.mem si.E.si_tid !z
-                    then begin
-                      incr slept;
-                      ctr.c_sleep <- ctr.c_sleep + 1;
-                      if E.Prov.enabled () then
-                        E.Prov.record E.Prov.Sleep ~site:si.E.si_label
-                          ?witness:!first_explored ();
-                      drive ()
-                    end
-                    else begin
-                      incr explored;
-                      if !first_explored = None then first_explored := Some si.E.si_label;
-                      bump_steps ();
-                      note_label si.E.si_label;
-                      let fsite' = if si.E.si_fault_site then fsite + 1 else fsite in
-                      let child_sleep =
-                        if conservative || not sleep_sets then []
-                        else
-                          List.filter
-                            (fun tid ->
-                              match
-                                List.find_opt (fun q -> q.E.si_tid = tid) node.E.n_enabled
-                              with
-                              | Some q -> not (E.dependent q si)
-                              | None -> false (* blocked or finished: wake it *))
-                            !z
-                      in
-                      List.iter
-                        (fun (w', prog') ->
-                          let idx = !brc in
-                          incr brc;
-                          go w' (resume si prog') cands crashes
-                            (Ev_step (si.E.si_tid, si.E.si_label) :: trace)
-                            (depth + 1) fused fsite'
-                            (if emitting then idx :: rpath else rpath)
-                            ~dirty:(E.crash_relevant si.E.si_fp)
-                            ~stack:({ E.f_node = node; f_step = si } :: stack)
-                            ~sleep:child_sleep)
-                        si.E.si_branches;
-                      (* fault branches, after the normal outcomes; a torn
-                         write persists a durable prefix, so fault children are
-                         always crash-dirty *)
-                      List.iter
-                        (fun (kind, (w', prog')) ->
-                          let idx = !brc in
-                          incr brc;
-                          cov_fault_hit si.E.si_label kind;
-                          in_fault_branch ~live:true fsite kind (fun () ->
-                              go w' (resume si prog') cands crashes
-                                (Ev_fault (si.E.si_tid, si.E.si_label, kind) :: trace)
-                                (depth + 1) (fused + 1) fsite'
-                                (if emitting then idx :: rpath else rpath)
-                                ~dirty:true
-                                ~stack:({ E.f_node = node; f_step = si } :: stack)
-                                ~sleep:child_sleep))
-                        si.E.si_faults;
-                      if sleep_sets && not conservative then z := si.E.si_tid :: !z;
-                      drive ()
-                    end
-                in
-                drive ();
-                let pruned = List.length infos - !explored - !slept in
-                if pruned > 0 then begin
-                  ctr.c_commut <- ctr.c_commut + pruned;
-                  if E.Prov.enabled () then
-                    List.iter
-                      (fun si ->
-                        if not (List.mem si.E.si_tid node.E.n_done) then
-                          E.Prov.record E.Prov.Commutation ~site:si.E.si_label
-                            ?witness:!first_explored ())
-                      infos
-                end)
+            (* crash branch: a crash may strike at any point, including after
+               all operations completed (durability of acknowledged writes).
+               Never replayed: the instance that visits this node live owns
+               it. *)
+            if live && crashes < cfg.max_crashes then
+              if dirty then crash_branch w cands (crashes + 1) trace
+              else begin
+                ctr.c_crash_skips <- ctr.c_crash_skips + 1;
+                cov_crash_skip trace
+              end;
+            if lives = [] then (if live then timed_post w cands trace)
+            else
+              match
+                enabled_steps ~live ~footprints:(not naive) ~faults:(fused < fault_budget) w
+                  lives trace
+              with
+              | [] -> if live then deadlock lives trace
+              | enabled ->
+                node lives cands crashes trace depth fused fsite rpath ~sel ~stack ~sleep enabled
           end)
+    (* Explore the node's enabled steps under the strategy's policy. *)
+    and node lives cands crashes trace depth fused fsite rpath ~sel ~stack ~sleep enabled =
+      let live = sel = None in
+      let brc = ref 0 in
+      (* [si]'s normal outcomes, then its fault branches, so the first
+         counterexample found is path-deterministic; a replayed node
+         follows only branch [sel].  A torn write persists a durable
+         prefix, so fault children are always crash-dirty. *)
+      let explore si ~stack ~sleep =
+        if live then begin
+          bump_steps ();
+          note_label si.E.si_label
+        end;
+        let fsite' = if si.E.si_fault_site then fsite + 1 else fsite in
+        let branch child =
+          let idx = !brc in
+          incr brc;
+          match sel with
+          | Some s when s <> idx -> ()
+          | _ -> child (if emitting then idx :: rpath else rpath)
+        in
+        List.iter
+          (fun (w', prog') ->
+            branch (fun rpath ->
+                go w' (resume lives si prog') cands crashes
+                  (Ev_step (si.E.si_tid, si.E.si_label) :: trace)
+                  (depth + 1) fused fsite' rpath ~dirty:(E.crash_relevant si.E.si_fp) ~stack
+                  ~sleep))
+          si.E.si_branches;
+        List.iter
+          (fun (kind, (w', prog')) ->
+            branch (fun rpath ->
+                if live then cov_fault_hit si.E.si_label kind;
+                in_fault_branch ~live fsite kind (fun () ->
+                    go w' (resume lives si prog') cands crashes
+                      (Ev_fault (si.E.si_tid, si.E.si_label, kind) :: trace)
+                      (depth + 1) (fused + 1) fsite' rpath ~dirty:true ~stack ~sleep)))
+          si.E.si_faults
+      in
+      if naive then List.iter (fun si -> explore si ~stack:[] ~sleep:[]) enabled
+      else begin
+        let node = E.node ~sleep enabled in
+        let push si = { E.f_node = node; f_step = si } :: stack in
+        if emitting || not live then begin
+          (* a shallow node in parallel mode (splitting live, or mirrored
+             during item replay so deep race detection sees the same
+             frames; its backtrack adds are no-ops) *)
+          node.E.n_backtrack <- List.map (fun si -> si.E.si_tid) enabled;
+          List.iter (fun si -> explore si ~stack:(push si) ~sleep:[]) enabled
+        end
+        else begin
+          E.detect_races stack node;
+          let explored = ref 0 and slept = ref 0 in
+          let first_explored = ref None in
+          let z = ref sleep in
+          let rec drive () =
+            match E.next_candidate node with
+            | None -> ()
+            | Some si ->
+              node.E.n_done <- si.E.si_tid :: node.E.n_done;
+              if sleep_sets && List.mem si.E.si_tid !z then begin
+                incr slept;
+                ctr.c_sleep <- ctr.c_sleep + 1;
+                if E.Prov.enabled () then
+                  E.Prov.record E.Prov.Sleep ~site:si.E.si_label ?witness:!first_explored ()
+              end
+              else begin
+                incr explored;
+                if !first_explored = None then first_explored := Some si.E.si_label;
+                let child_sleep =
+                  if not sleep_sets then []
+                  else
+                    List.filter
+                      (fun tid ->
+                        match List.find_opt (fun q -> q.E.si_tid = tid) node.E.n_enabled with
+                        | Some q -> not (E.dependent q si)
+                        | None -> false (* blocked or finished: wake it *))
+                      !z
+                in
+                explore si ~stack:(push si) ~sleep:child_sleep;
+                if sleep_sets then z := si.E.si_tid :: !z
+              end;
+              drive ()
+          in
+          drive ();
+          let pruned = List.length enabled - !explored - !slept in
+          if pruned > 0 then begin
+            ctr.c_commut <- ctr.c_commut + pruned;
+            if E.Prov.enabled () then
+              List.iter
+                (fun si ->
+                  if not (List.mem si.E.si_tid node.E.n_done) then
+                    E.Prov.record E.Prov.Commutation ~site:si.E.si_label
+                      ?witness:!first_explored ())
+                enabled
+          end
+        end
+      end
     in
+    let lives, cands = initial () in
     (* [dirty = true] at the root: the crash before any step is always
        explored. *)
-    go w0 lives0 cands0 0 [] 0 0 0 [] ~dirty:true ~stack:[] ~sleep:[]
+    go cfg.init_world lives cands 0 [] 0 0 0 [] ~dirty:true ~stack:[] ~sleep:[]
   in
 
-  let initial_lives, initial_cands =
-    List.fold_left
-      (fun (lives, cands) ops ->
-        match ops with
-        | [] -> (lives, cands)
-        | (call, prog) :: rest ->
-          let tid = fresh_tid () in
-          ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
-      ([], [ { st = spec.Spec.init; pend = [] } ])
-      cfg.threads
+  (* A walk: the same settle, crash, recovery and post as the search, but
+     one thread and one outcome per step.  Walks never take fault branches.
+     A walk's main-phase crash does not count against [max_crashes] during
+     recovery — the rule walks have always had, kept so that every
+     [seed=S schedule=I/N] replays to the same trace. *)
+  let rec walk w lives cands crashes trace depth =
+    if depth > ctr.c_frontier then ctr.c_frontier <- depth;
+    let lives, cands, trace = settle lives cands trace in
+    let can = crashes < cfg.max_crashes in
+    crash_or ~can (fun () -> crash_branch w cands crashes trace) @@ fun () ->
+    if lives = [] then timed_post w cands trace
+    else
+      match enabled_steps ~live:false ~footprints:false ~faults:false w lives trace with
+      | [] -> if can then crash_branch w cands crashes trace else deadlock lives trace
+      | enabled ->
+        bump_steps ();
+        List.iter
+          (fun si ->
+            List.iter
+              (fun (w', prog') ->
+                walk w' (resume lives si prog') cands crashes
+                  (Ev_step (si.Explore.si_tid, si.Explore.si_label) :: trace)
+                  (depth + 1))
+              (choose si.Explore.si_branches))
+          (choose enabled)
   in
-  let run () =
-    match strategy with
-    | Explore.Naive ->
-      explore cfg.init_world (List.rev initial_lives) initial_cands 0 [] 0 0 0 []
-    | Explore.Dpor ->
-      explore_por ~sleep_sets:false cfg.init_world (List.rev initial_lives) initial_cands
-    | Explore.Dpor_sleep ->
-      explore_por ~sleep_sets:true cfg.init_world (List.rev initial_lives) initial_cands
+  let walks ~seed ~first ~last ~schedules =
+    for i = first to last do
+      rng := Some (Random.State.make [| seed; i |]);
+      next_tid := 0;
+      let lives, cands = initial () in
+      try walk cfg.init_world lives cands 0 [] 0 with
+      | Vacuous -> ctr.c_vacuous <- ctr.c_vacuous + 1
+      | Violation f ->
+        raise
+          (Violation
+             { f with reason = Fmt.str "[seed=%d schedule=%d/%d] %s" seed i schedules f.reason })
+    done
   in
-  match run () with
+  match
+    match mode with
+    | Search { strategy; cutoff; emit; replay_path; fp } ->
+      search ~strategy ~cutoff ~emit ~replay_path ~fp
+    | Walks { seed; first; last; schedules; _ } -> walks ~seed ~first ~last ~schedules
+  with
   | () -> I_ok
   | exception Violation f -> I_viol f
   | exception Budget -> I_budget
 
 (* ------------------------------------------------------------------ *)
-(* The exhaustive checker                                               *)
+(* Drivers                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let deadline_of = function
+  | None -> None
+  | Some s -> Some (Obs.Trace.now_us () +. (s *. 1e6))
+
+(* The worker pool: jobs [0..n-1] pulled off an atomic counter by [domains]
+   domains (the caller's among them), each job with its own counters,
+   merged into [into] in job order.  Every job runs to completion even
+   after another fails: early cancellation would make the merged stats
+   depend on timing. *)
+let run_pool ~domains ~into n job =
+  Obs.Metrics.set Mx.domains_g (float_of_int domains);
+  let ctrs = Array.init n (fun _ -> fresh_counters ()) in
+  let results = Array.make n I_ok in
+  let next = Atomic.make 0 in
+  let worker primary () =
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        if not primary then Obs.Metrics.inc Mx.steals;
+        results.(i) <- job ctrs.(i) i;
+        loop ()
+      end
+    in
+    loop ()
+  in
+  let doms =
+    List.init (min domains (max 1 n) - 1) (fun _ -> Domain.spawn (worker false))
+  in
+  worker true ();
+  List.iter Domain.join doms;
+  Array.iter (merge_into into) ctrs;
+  results
+
+(* The verdict: the lowest-index outcome that is not [I_ok] wins — chosen
+   by index, never by finish order. *)
+let verdict ctr outcomes =
+  let stats = snapshot ctr in
+  let rec scan i =
+    if i >= Array.length outcomes then Refinement_holds stats
+    else
+      match outcomes.(i) with
+      | I_ok -> scan (i + 1)
+      | I_viol f -> Refinement_violated (f, stats)
+      | I_budget -> Budget_exhausted stats
+  in
+  scan 0
+
+(* Parallel checks split the schedule tree at this depth. *)
+let split_depth = 2
+
 let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
-    ?(split_depth = 2) ?(fingerprint = false) ?(symmetry = false) ?key_prefix
-    (cfg : (w, s) config) : result =
+    ?(fingerprint = false) ?(symmetry = false) ?key_prefix (cfg : (w, s) config) : result =
   if symmetry && not fingerprint then
     invalid_arg "Refinement.check: ~symmetry requires ~fingerprint:true";
   if fingerprint && strategy <> Explore.Naive then
@@ -1337,115 +1309,62 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   (match domains with
   | Some n when n < 1 -> invalid_arg "Refinement.check: domains must be >= 1"
   | _ -> ());
-  if split_depth < 1 then invalid_arg "Refinement.check: split_depth must be >= 1";
   Obs.Metrics.inc Mx.checks;
   let fault_budget =
     match faults with Some n -> max 0 n | None -> cfg.fault_budget
   in
   let deadline =
-    match (match max_seconds with Some _ as s -> s | None -> cfg.max_seconds) with
-    | None -> None
-    | Some s -> Some (Obs.Trace.now_us () +. (s *. 1e6))
+    deadline_of (match max_seconds with Some _ as s -> s | None -> cfg.max_seconds)
   in
   let fp = if fingerprint then Some (symmetry, key_prefix) else None in
   let sched_seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let sched_lock = Mutex.create () in
-  let run_one ~step_base ~cutoff ~emit ~replay_path ~ctr =
-    run_instance cfg ~strategy ~fault_budget ~deadline ~step_base ~cutoff ~emit
-      ~replay_path ~fp ~sched_seen ~sched_lock ~ctr
+  let run ~ctr ~step_base ~cutoff ~emit ~replay_path =
+    run_instance cfg
+      ~mode:(Search { strategy; cutoff; emit; replay_path; fp })
+      ~fault_budget ~deadline ~step_base ~sched_seen ~sched_lock ~ctr
   in
   let t0 = Obs.Trace.now_us () in
   let r =
     timed_check "refinement.check" (fun () ->
+        let ctr = fresh_counters () in
         match domains with
         | None ->
-          (* Sequential whole-run engine: the legacy checker, unchanged. *)
-          let ctr = fresh_counters () in
-          (match
-             run_one ~step_base:0 ~cutoff:max_int ~emit:None ~replay_path:[] ~ctr
-           with
-          | I_ok -> Refinement_holds (snapshot ctr)
-          | I_viol f -> Refinement_violated (f, snapshot ctr)
-          | I_budget -> Budget_exhausted (snapshot ctr))
+          verdict ctr [| run ~ctr ~step_base:0 ~cutoff:max_int ~emit:None ~replay_path:[] |]
         | Some n ->
-          Obs.Metrics.set Mx.domains_g (float_of_int n);
           (* Phase 1: sequential split.  Everything above [split_depth] is
              explored (and counted) here; each subtree root at the cutoff
              becomes a work item, in DFS order. *)
           let items_rev = ref [] in
-          let p1 = fresh_counters () in
-          let o1 =
-            run_one ~step_base:0 ~cutoff:split_depth
-              ~emit:(Some (fun path -> items_rev := path :: !items_rev))
-              ~replay_path:[] ~ctr:p1
-          in
-          (match o1 with
+          (match
+             run ~ctr ~step_base:0 ~cutoff:split_depth
+               ~emit:(Some (fun path -> items_rev := path :: !items_rev))
+               ~replay_path:[]
+           with
           | I_budget ->
             (* The split phase itself blew the budget; items would only
                re-spend it. *)
-            Budget_exhausted (snapshot p1)
-          | _ ->
+            Budget_exhausted (snapshot ctr)
+          | split ->
             let items = Array.of_list (List.rev !items_rev) in
-            let n_items = Array.length items in
-            Obs.Metrics.inc ~by:n_items Mx.work_items;
-            let ctrs = Array.init n_items (fun _ -> fresh_counters ()) in
-            let results = Array.make n_items I_ok in
-            let next = Atomic.make 0 in
-            let step_base = p1.c_steps in
-            (* Every emitted item runs to completion even after another
-               finds a violation: early cancellation would make the merged
-               stats depend on timing.  The *winner* is chosen by item
-               order below, never by finish order. *)
-            let worker primary () =
-              let rec loop () =
-                let i = Atomic.fetch_and_add next 1 in
-                if i < n_items then begin
-                  if not primary then Obs.Metrics.inc Mx.steals;
-                  results.(i) <-
-                    run_one ~step_base ~cutoff:max_int ~emit:None
-                      ~replay_path:items.(i) ~ctr:ctrs.(i);
-                  loop ()
-                end
-              in
-              loop ()
+            Obs.Metrics.inc ~by:(Array.length items) Mx.work_items;
+            let step_base = ctr.c_steps in
+            let results =
+              run_pool ~domains:n ~into:ctr (Array.length items) (fun ctr i ->
+                  run ~ctr ~step_base ~cutoff:max_int ~emit:None ~replay_path:items.(i))
             in
-            let n_workers = min n (max 1 n_items) in
-            let doms =
-              List.init (n_workers - 1) (fun _ ->
-                  Domain.spawn (fun () -> worker false ()))
-            in
-            worker true ();
-            List.iter Domain.join doms;
-            let merged = p1 in
-            Array.iter (fun c -> merge_into merged c) ctrs;
-            let stats = snapshot merged in
-            (* First counterexample wins, in sequential DFS order: every
-               emitted item precedes the splitting phase's own outcome
-               (emission stops at its raise), so scan items 0..n-1 first. *)
-            let rec scan i =
-              if i >= n_items then
-                match o1 with
-                | I_ok -> Refinement_holds stats
-                | I_viol f -> Refinement_violated (f, stats)
-                | I_budget -> assert false
-              else
-                match results.(i) with
-                | I_viol f -> Refinement_violated (f, stats)
-                | I_budget -> Budget_exhausted stats
-                | I_ok -> scan (i + 1)
-            in
-            scan 0))
+            (* every emitted item precedes the splitting phase's own
+               outcome in sequential DFS order (emission stops at its
+               raise) *)
+            verdict ctr (Array.append results [| split |])))
   in
   Obs.Metrics.add (Explore.strategy_us strategy) (Obs.Trace.now_us () -. t0);
   r
 
-let check_exn ?strategy ?faults ?max_seconds ?domains ?split_depth ?fingerprint
-    ?symmetry ?key_prefix cfg =
+let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix
+    cfg =
   let t0 = Obs.Trace.now_us () in
-  match
-    check ?strategy ?faults ?max_seconds ?domains ?split_depth ?fingerprint ?symmetry
-      ?key_prefix cfg
-  with
+  match check ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix cfg with
   | Refinement_holds stats -> stats
   | Refinement_violated (f, stats) ->
     failwith (Fmt.str "@[<v>Refinement_violated: %a@,stats: %a@]" pp_failure f pp_stats stats)
@@ -1461,303 +1380,34 @@ let check_exn ?strategy ?faults ?max_seconds ?domains ?split_depth ?fingerprint
          "Budget_exhausted: step or wall-clock budget exceeded before the state space was covered after %.2fs (max_seconds=%s, step_budget=%d) (stats: %a)"
          elapsed_s max_s cfg.step_budget pp_stats stats)
 
-(* ------------------------------------------------------------------ *)
-(* The randomized checker                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One random walk through the schedule/outcome/crash space.  Same
-   linearization bookkeeping as the exhaustive checker, but each choice
-   point picks a single alternative.  Sound for bug-finding on instances
-   too large to exhaust; a pass is evidence, not proof.
-
-   Every schedule draws from its own RNG, seeded by [(seed, index)]: a
-   failure tagged [seed=S schedule=I/N] replays from those numbers alone
-   (see {!check_random_replay}), independent of the draws — schedule
-   choices, outcome picks, crash coins during recovery — consumed by the
-   preceding N-1 walks.  That per-walk isolation is also what makes
-   [?domains] sound: walks share no RNG, tid counter, or tracker state, so
-   they can run on any domain in any order and still produce the walk the
-   seed names. *)
-let check_random_walks (type w s) ~schedules ~first ~last ~seed ~crash_prob ?domains
-    (cfg : (w, s) config) : result =
-  let spec = cfg.spec in
+(* Random walks through the schedule/outcome/crash space: sound for
+   bug-finding on instances too large to exhaust; a pass is evidence, not
+   proof.  Per-walk RNG isolation is what makes [?domains] sound: walks
+   share no RNG, tid counter, or tracker state, so they can run on any
+   domain in any order and still produce the walk the seed names.
+   Sequentially, walks share one step budget and stop at the first
+   failure; in parallel, each walk has its own budget and all run, so the
+   result is the same at every domain count. *)
+let check_random_walks ~schedules ~first ~last ~seed ~crash_prob ?domains cfg =
   Obs.Metrics.inc Mx.checks;
-  (* A walker instance: private counters, tracker, RNG and tid counter.
-     [walk i] runs schedule [i] from scratch; Violation/Budget escape to
-     the caller. *)
-  let make_walker (ctr : counters) =
-    let tk = make_tracker spec ctr ~live:(ref true) in
-    let current_rng = ref (Random.State.make [| seed; first |]) in
-    let next_tid = ref 0 in
-    let fresh_tid () =
-      let t = !next_tid in
-      incr next_tid;
-      t
-    in
-    let bump_steps () =
-      ctr.c_steps <- ctr.c_steps + 1;
-      if ctr.c_steps > cfg.step_budget then raise Budget
-    in
-    let pick xs = List.nth xs (Random.State.int !current_rng (List.length xs)) in
-
-    (* run a single program to completion with random outcome choices *)
-    let run_solo ~what ~mk_ev w prog trace =
-      let rec go w prog trace =
-        match prog with
-        | Sched.Prog.Mark (_, p) -> go w p trace
-        | Sched.Prog.Done v -> (w, v, trace)
-        | Sched.Prog.Atomic { label; action; k; _ } ->
-          bump_steps ();
-          (match action w with
-          | Sched.Prog.Ub reason ->
-            raise
-              (Violation
-                 (mk_failure
-                    (Fmt.str "%s hit undefined behaviour at %s: %s" what label reason)
-                    trace))
-          | Sched.Prog.Steps [] ->
-            raise (Violation (mk_failure (Fmt.str "%s blocked at %s" what label) trace))
-          | Sched.Prog.Steps outs ->
-            let w', v = pick outs in
-            go w' (k v) (mk_ev label :: trace))
-      in
-      go w prog trace
-    in
-
-    let run_post w cands trace =
-      let _, _ =
-        List.fold_left
-          (fun (w, cands) (call, prog) ->
-            let tid = fresh_tid () in
-            let cands = tk.add_pending tid call cands in
-            let w, v, trace' =
-              run_solo ~what:"post" ~mk_ev:(fun label -> Ev_pstep label) w prog trace
-            in
-            let trace' = Ev_post_return (tid, call, v) :: trace' in
-            (w, tk.respond tid v trace' cands))
-          (w, cands) cfg.post
-      in
-      ctr.c_executions <- ctr.c_executions + 1
-    in
-    let timed_post w cands trace =
-      timed_phase "post" (fun us -> ctr.c_post_us <- ctr.c_post_us +. us) (fun () ->
-          run_post w cands trace)
-    in
-
-    (* crash, then recovery (itself subject to random crashes), then the spec
-       crash transition and the post probes *)
-    let do_crash w cands crashes trace =
-      ctr.c_crashes <- ctr.c_crashes + 1;
-      Obs.Trace.instant ~cat:"crash" "crash_injection";
-      let sat = tk.saturate cands in
-      let rec recover w crashes trace =
-        let rec go w prog trace =
-          let prog = Sched.Prog.strip_marks prog in
-          if crashes < cfg.max_crashes && Random.State.float !current_rng 1.0 < crash_prob
-          then begin
-            ctr.c_crashes <- ctr.c_crashes + 1;
-            Obs.Trace.instant ~cat:"crash" "crash_injection";
-            recover (cfg.crash_world w) (crashes + 1) (Ev_crash_recovery :: trace)
-          end
-          else
-            match prog with
-            | Sched.Prog.Mark _ -> assert false (* stripped above *)
-            | Sched.Prog.Done _ -> (w, trace)
-            | Sched.Prog.Atomic { label; action; k; _ } ->
-              bump_steps ();
-              (match action w with
-              | Sched.Prog.Ub reason ->
-                raise
-                  (Violation
-                     (mk_failure
-                        (Fmt.str "recovery hit undefined behaviour at %s: %s" label reason)
-                        trace))
-              | Sched.Prog.Steps [] ->
-                raise
-                  (Violation (mk_failure (Fmt.str "recovery blocked at %s" label) trace))
-              | Sched.Prog.Steps outs ->
-                let w', v = pick outs in
-                go w' (k v) (Ev_rstep label :: trace))
-        in
-        go w cfg.recovery trace
-      in
-      let w, trace =
-        timed_phase "recovery" (fun us -> ctr.c_recovery_us <- ctr.c_recovery_us +. us)
-          (fun () -> recover (cfg.crash_world w) crashes (Ev_crash :: trace))
-      in
-      timed_post w (tk.crash_cands trace sat) trace
-    in
-
-    let walk_body () =
-      let lives, cands =
-        List.fold_left
-          (fun (lives, cands) ops ->
-            match ops with
-            | [] -> (lives, cands)
-            | (call, prog) :: rest ->
-              let tid = fresh_tid () in
-              ({ tid; call; prog; rest } :: lives, tk.add_pending tid call cands))
-          ([], [ { st = spec.Spec.init; pend = [] } ])
-          cfg.threads
-      in
-      let rec main w lives cands crashes trace depth =
-        if depth > ctr.c_frontier then ctr.c_frontier <- depth;
-        (* settle finished threads first *)
-        let rec settle lives cands trace =
-          let lives =
-            List.map (fun l -> { l with prog = Sched.Prog.strip_marks l.prog }) lives
-          in
-          let rec find acc = function
-            | [] -> None
-            | ({ prog = Sched.Prog.Done v; _ } as l) :: rest ->
-              Some (List.rev_append acc rest, l, v)
-            | l :: rest -> find (l :: acc) rest
-          in
-          match find [] lives with
-          | None -> (lives, cands, trace)
-          | Some (others, l, v) ->
-            let trace = Ev_return (l.tid, l.call, v) :: trace in
-            let cands = tk.respond l.tid v trace cands in
-            (match l.rest with
-            | [] -> settle others cands trace
-            | (call', prog') :: rest' ->
-              let tid = fresh_tid () in
-              let live' = { tid; call = call'; prog = prog'; rest = rest' } in
-              settle (live' :: others) (tk.add_pending tid call' cands)
-                (Ev_invoke (tid, call') :: trace))
-        in
-        let lives, cands, trace = settle lives cands trace in
-        if lives = [] then
-          if crashes < cfg.max_crashes && Random.State.float !current_rng 1.0 < crash_prob
-          then do_crash w cands crashes trace
-          else timed_post w cands trace
-        else if
-          crashes < cfg.max_crashes && Random.State.float !current_rng 1.0 < crash_prob
-        then do_crash w cands crashes trace
-        else begin
-          (* collect the runnable threads as commit closures (the step's
-             payload type must not escape the match arm) *)
-          let steppable =
-            List.concat
-              (List.mapi
-                 (fun i l ->
-                   match l.prog with
-                   | Sched.Prog.Done _ | Sched.Prog.Mark _ -> []
-                   | Sched.Prog.Atomic { label; action; k; _ } -> (
-                     match action w with
-                     | Sched.Prog.Ub reason ->
-                       raise
-                         (Violation
-                            (mk_failure
-                               (Fmt.str "thread %d hit undefined behaviour at %s: %s" l.tid
-                                  label reason)
-                               trace))
-                     | Sched.Prog.Steps [] -> []
-                     | Sched.Prog.Steps outs ->
-                       [ (fun () ->
-                           let w', v = pick outs in
-                           let lives' =
-                             List.mapi
-                               (fun j l' -> if i = j then { l' with prog = k v } else l')
-                               lives
-                           in
-                           (w', lives', Ev_step (l.tid, label) :: trace)) ]))
-                 lives)
-          in
-          match steppable with
-          | [] ->
-            if crashes < cfg.max_crashes then do_crash w cands crashes trace
-            else if cfg.fail_on_deadlock then
-              raise
-                (Violation
-                   (mk_failure
-                      (Fmt.str "deadlock: threads %s all blocked"
-                         (String.concat ","
-                            (List.map (fun l -> string_of_int l.tid) lives)))
-                      trace))
-            else ()
-          | _ ->
-            bump_steps ();
-            let w', lives', trace' = (pick steppable) () in
-            main w' lives' cands crashes trace' (depth + 1)
-        end
-      in
-      main cfg.init_world (List.rev lives) cands 0 [] 0
-    in
-    (* The schedule index makes a randomized counterexample reproducible:
-       walk [i] draws only from [Random.State.make [| seed; i |]], so the
-       failing schedule replays from [seed=.. schedule=i/n] alone. *)
-    fun i ->
-      current_rng := Random.State.make [| seed; i |];
-      next_tid := 0;
-      try walk_body () with Vacuous -> ctr.c_vacuous <- ctr.c_vacuous + 1
+  (match domains with
+  | Some n when n < 1 -> invalid_arg "Refinement.check_random: domains must be >= 1"
+  | _ -> ());
+  let deadline = deadline_of cfg.max_seconds in
+  let sched_seen = Hashtbl.create 1 and sched_lock = Mutex.create () in
+  let run ~ctr first last =
+    run_instance cfg
+      ~mode:(Walks { seed; crash_prob; first; last; schedules })
+      ~fault_budget:0 ~deadline ~step_base:0 ~sched_seen ~sched_lock ~ctr
   in
-  let prefix i reason = Fmt.str "[seed=%d schedule=%d/%d] %s" seed i schedules reason in
-  match domains with
-  | None ->
-    (* Legacy sequential run: shared counters, cumulative step budget,
-       stop at the first failing walk. *)
-    let ctr = fresh_counters () in
-    let walk = make_walker ctr in
-    let sched_idx = ref 0 in
-    timed_check "refinement.check_random" (fun () ->
-        match
-          for i = first to last do
-            sched_idx := i;
-            walk i
-          done
-        with
-        | () -> Refinement_holds (snapshot ctr)
-        | exception Violation f ->
-          Refinement_violated ({ f with reason = prefix !sched_idx f.reason }, snapshot ctr)
-        | exception Budget -> Budget_exhausted (snapshot ctr))
-  | Some n ->
-    if n < 1 then invalid_arg "Refinement.check_random: domains must be >= 1";
-    (* Parallel walks: each walk gets its own counters and step budget and
-       always runs (no early stop), so merged stats and the reported
-       failure — the lowest-index failing walk — are identical for every
-       domain count. *)
-    timed_check "refinement.check_random" (fun () ->
-        Obs.Metrics.set Mx.domains_g (float_of_int n);
-        let n_walks = last - first + 1 in
-        let ctrs = Array.init n_walks (fun _ -> fresh_counters ()) in
-        let outcomes = Array.make n_walks I_ok in
-        let next = Atomic.make 0 in
-        let worker primary () =
-          let rec loop () =
-            let j = Atomic.fetch_and_add next 1 in
-            if j < n_walks then begin
-              if not primary then Obs.Metrics.inc Mx.steals;
-              let walk = make_walker ctrs.(j) in
-              outcomes.(j) <-
-                (match walk (first + j) with
-                | () -> I_ok
-                | exception Violation f -> I_viol f
-                | exception Budget -> I_budget);
-              loop ()
-            end
-          in
-          loop ()
-        in
-        let n_workers = min n (max 1 n_walks) in
-        let doms =
-          List.init (n_workers - 1) (fun _ -> Domain.spawn (fun () -> worker false ()))
-        in
-        worker true ();
-        List.iter Domain.join doms;
-        let merged = fresh_counters () in
-        Array.iter (fun c -> merge_into merged c) ctrs;
-        let stats = snapshot merged in
-        let rec scan j =
-          if j >= n_walks then Refinement_holds stats
-          else
-            match outcomes.(j) with
-            | I_viol f ->
-              Refinement_violated ({ f with reason = prefix (first + j) f.reason }, stats)
-            | I_budget -> Budget_exhausted stats
-            | I_ok -> scan (j + 1)
-        in
-        scan 0)
+  timed_check "refinement.check_random" (fun () ->
+      let ctr = fresh_counters () in
+      match domains with
+      | None -> verdict ctr [| run ~ctr first last |]
+      | Some n ->
+        verdict ctr
+          (run_pool ~domains:n ~into:ctr (last - first + 1) (fun ctr j ->
+               run ~ctr (first + j) (first + j))))
 
 let check_random ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ?domains cfg =
   check_random_walks ~schedules ~first:1 ~last:schedules ~seed ~crash_prob ?domains cfg

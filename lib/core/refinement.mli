@@ -156,7 +156,6 @@ val check :
   ?faults:int ->
   ?max_seconds:float ->
   ?domains:int ->
-  ?split_depth:int ->
   ?fingerprint:bool ->
   ?symmetry:bool ->
   ?key_prefix:string ->
@@ -178,13 +177,13 @@ val check :
     {b Parallel exploration.}  [~domains:n] runs the check on [n] domains
     (OCaml 5 multicore; [n >= 1], [Invalid_argument] otherwise).  A
     sequential splitting phase first explores every schedule prefix
-    shallower than [split_depth] (default 2), turning each subtree rooted
+    shallower than a fixed split depth of 2, turning each subtree rooted
     at that depth into a work item; idle domains then pull items and
-    explore the subtrees concurrently.  The partition is a fixed function
-    of [split_depth] — {e never} of [n] — and every item runs to
-    completion, so the verdict, the reported counterexample (the first in
-    sequential DFS order), and every field of {!stats} are identical for
-    every [n] at a fixed [split_depth].  (On a {e violating} instance the
+    explore the subtrees concurrently.  The partition is {e never} a
+    function of [n], and every item runs to completion, so the verdict,
+    the reported counterexample (the first in sequential DFS order), and
+    every field of {!stats} are identical for every [n].  (On a
+    {e violating} instance the
     parallel stats exceed a plain sequential run's: the sequential checker
     aborts at the first violation, while parallel items all run to
     completion — stopping early would make the merged stats depend on
@@ -220,7 +219,6 @@ val check_exn :
   ?faults:int ->
   ?max_seconds:float ->
   ?domains:int ->
-  ?split_depth:int ->
   ?fingerprint:bool ->
   ?symmetry:bool ->
   ?key_prefix:string ->
@@ -244,7 +242,10 @@ val check_random :
     {!check}.  Use on instances too large to exhaust — a reported violation
     is a real counterexample; a pass is evidence, not proof.  [crash_prob]
     is the per-step probability of injecting a crash (while the crash budget
-    lasts).  A failure's [reason] is prefixed ["[seed=S schedule=I/N] "].
+    lasts); walks inject no faults.  A failure's [reason] is prefixed
+    ["[seed=S schedule=I/N] "].  The walks share {!check}'s step function,
+    recovery and post phases, and budgets: exceeding the config's
+    [step_budget] or [max_seconds] yields {!Budget_exhausted}.
 
     Walk [i] draws every choice — schedule picks, nondeterministic outcome
     picks, crash coins (including those flipped while recovery re-runs) —
@@ -257,7 +258,7 @@ val check_random :
     giving each walk its own step budget, and reporting the lowest-index
     failing walk — so verdict, reason prefix, and merged stats match at
     any domain count.  The sequential path ([?domains] omitted) stops at
-    the first failure with a cumulative step budget, exactly as before. *)
+    the first failure with a cumulative step budget. *)
 
 val check_random_replay :
   ?schedules:int ->

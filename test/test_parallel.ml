@@ -2,8 +2,7 @@
 
    The multicore checker's contract (Refinement.check ~domains) is that the
    domain count buys wall time and nothing else: verdict, counterexample and
-   every stats field must be a fixed function of the instance and
-   [split_depth].  This suite pins that down differentially:
+   every stats field must be a fixed function of the instance.  This suite pins that down differentially:
 
    - every bundled system and seeded bug, under naive and dpor+sleep, run at
      domains 1/2/4/8: identical verdicts, identical stats records, identical
@@ -272,7 +271,6 @@ let test_bad_arguments () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
   expect_invalid "domains=0" (fun () -> R.check ~domains:0 cfg);
-  expect_invalid "split_depth=0" (fun () -> R.check ~domains:2 ~split_depth:0 cfg);
   expect_invalid "fingerprint under dpor" (fun () ->
       R.check ~strategy:E.Dpor ~fingerprint:true cfg);
   expect_invalid "symmetry without fingerprint" (fun () -> R.check ~symmetry:true cfg);
