@@ -207,6 +207,14 @@ type result =
   | Refinement_violated of failure * stats
   | Budget_exhausted of stats
 
+let stats_of = function
+  | Refinement_holds st | Refinement_violated (_, st) | Budget_exhausted st -> st
+
+let verdict_name = function
+  | Refinement_holds _ -> "holds"
+  | Refinement_violated _ -> "violated"
+  | Budget_exhausted _ -> "budget"
+
 (* ------------------------------------------------------------------ *)
 (* Observability                                                        *)
 (* ------------------------------------------------------------------ *)

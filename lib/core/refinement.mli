@@ -151,6 +151,11 @@ type result =
   | Refinement_violated of failure * stats
   | Budget_exhausted of stats
 
+val stats_of : result -> stats
+
+val verdict_name : result -> string
+(** ["holds"], ["violated"] or ["budget"]. *)
+
 val check :
   ?strategy:Explore.strategy ->
   ?faults:int ->

@@ -25,9 +25,7 @@ let expect_violation name cfg =
 
 (* --- refinement --- *)
 
-let test_put_get_crash () =
-  expect_holds "put+get with crash"
-    (Cb.checker_config ~max_crashes:1 [ [ Cb.put_call (V.str "x") ]; [ Cb.get_call ] ])
+let test_put_get_crash () = Test_explore.expect Perennial_catalog.Catalog.cached_block
 
 let test_two_writers () =
   expect_holds "two writers"

@@ -1,5 +1,5 @@
 (* The soundness argument for the partial-order-reduced strategies is
-   differential: for every bundled system and every seeded-bug variant,
+   differential: for the catalog's systems, storage stacks and seeded bugs,
    {!Explore.Dpor} and {!Explore.Dpor_sleep} must reach exactly the verdict
    of {!Explore.Naive} — while never exploring more executions.  On top of
    that:
@@ -16,176 +16,69 @@
      at least 3x fewer executions than naive, with nonzero
      [commutations_pruned] and [crash_skips]. *)
 
-module V = Tslang.Value
 module R = Perennial_core.Refinement
 module E = Perennial_core.Explore
+module C = Perennial_catalog.Catalog
 module Fp = Sched.Footprint
 module Sd = Disk.Single_disk
-module Rd = Systems.Replicated_disk
-module Cb = Systems.Cached_block
-module Sc = Systems.Shadow_copy
-module W = Systems.Wal
-module Gc = Systems.Group_commit
-module L = Systems.Layered
-module J = Journal.Txn_log
-module K = Journal.Kvs
 
 let b = Disk.Block.of_string
-let bv s = Disk.Block.to_value (b s)
-let vx = V.str "x"
-let vy = V.str "y"
-let ly2 = J.layout ~n_data:2 ~max_slots:2
-let p = K.params ~n_keys:2 ()
-
-let verdict = function
-  | R.Refinement_holds _ -> "holds"
-  | R.Refinement_violated _ -> "violated"
-  | R.Budget_exhausted _ -> "budget"
-
-let stats_of = function
-  | R.Refinement_holds st | R.Refinement_violated (_, st) | R.Budget_exhausted st -> st
 
 (* ------------------------------------------------------------------ *)
 (* Differential harness                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Run one instance under every strategy: same verdict as naive, never
-   more executions than naive. *)
-let differential name (run : E.strategy -> R.result) =
-  let naive = run E.Naive in
-  List.iter
-    (fun s ->
-      let r = run s in
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s verdict" name (E.strategy_name s))
-        (verdict naive) (verdict r);
-      if (stats_of r).R.executions > (stats_of naive).R.executions then
-        Alcotest.failf "%s: %s explored %d executions > naive's %d" name
-          (E.strategy_name s) (stats_of r).R.executions (stats_of naive).R.executions)
-    E.all_strategies
+(* Run a check under every strategy: the catalog's cross-strategy guard
+   holds (same verdict as naive, never more executions than naive). *)
+let across_strategies name run =
+  let res = List.map (fun s -> (s, run s)) E.all_strategies in
+  match C.guard res with
+  | [] -> List.assoc E.Naive res
+  | ps -> Alcotest.failf "%s: %s" name (String.concat "; " ps)
 
-(* --- honest systems: every strategy must accept --- *)
+(* ... and for a catalog instance, naive reaches its expected verdict *)
+let differential inst =
+  let naive = across_strategies (C.name inst) (fun strategy -> C.run ~strategy inst) in
+  if not (C.met inst naive) then
+    Alcotest.failf "%s: naive verdict %s" (C.name inst) (R.verdict_name naive)
 
-let test_diff_systems () =
-  differential "rd: 2 writers + crash + disk failure" (fun strategy ->
-      R.check ~strategy
-        (Rd.checker_config ~may_fail:true ~max_crashes:1 ~size:1
-           [ [ Rd.write_call 0 (V.str "a") ]; [ Rd.write_call 0 (V.str "b") ] ]));
-  differential "cached-block: put || get + crash" (fun strategy ->
-      R.check ~strategy
-        (Cb.checker_config ~max_crashes:1 [ [ Cb.put_call vx ]; [ Cb.get_call ] ]));
-  differential "shadow-copy: write || read + crash" (fun strategy ->
-      R.check ~strategy
-        (Sc.checker_config ~max_crashes:1 [ [ Sc.write_call vx vy ]; [ Sc.read_call ] ]));
-  differential "wal: write + 2 crashes" (fun strategy ->
-      R.check ~strategy (W.checker_config ~max_crashes:2 [ [ W.write_call vx vy ] ]));
-  differential "group-commit: write; flush + crash" (fun strategy ->
-      R.check ~strategy
-        (Gc.checker_config ~max_crashes:1 [ [ Gc.write_call vx vy; Gc.flush_call ] ]))
+(* Check a catalog instance once: it must reach its expected verdict. *)
+let expect ?strategy inst =
+  match C.run ?strategy inst with
+  | r when C.met inst r -> ()
+  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" (C.name inst) R.pp_failure f
+  | r -> Alcotest.failf "%s: %s (%a)" (C.name inst) (R.verdict_name r) R.pp_stats (R.stats_of r)
 
-let test_diff_layered () =
-  differential "layered: WAL over rd + crash + disk failure" (fun strategy ->
-      R.check ~strategy
-        (L.checker_config ~may_fail:true ~max_crashes:1 [ [ L.write_call vx vy ] ]))
+(* random walks take no strategy *)
+let exhaustive = List.filter (fun i -> C.mode i = C.Exhaustive)
+let test_diff_systems () = List.iter differential (exhaustive C.refinement)
 
-let test_diff_journal_kvs () =
-  differential "journal: commit || read + crash" (fun strategy ->
-      R.check ~strategy
-        (J.checker_config ly2 ~max_crashes:1
-           [ [ J.commit_call ly2 [ (0, b "A"); (1, b "B") ] ]; [ J.read_call ly2 0 ] ]));
-  differential "kvs: put || get + crash" (fun strategy ->
-      R.check ~strategy
-        (K.checker_config p ~max_crashes:1
-           [ [ K.put_call p 0 (bv "A") ]; [ K.get_call p 1 ] ]));
-  differential "kvs: txn + crash during recovery" (fun strategy ->
-      R.check ~strategy
-        (K.checker_config p ~max_crashes:2 [ [ K.txn_call p [ (0, b "A"); (1, b "B") ] ] ]));
-  differential "kvs: async put; flush || get + crash" (fun strategy ->
-      R.check ~strategy
-        (K.checker_config p ~max_crashes:1
-           [ [ K.put_async_call p 0 (bv "A"); K.flush_call p ]; [ K.get_call p 0 ] ]))
-
-(* --- seeded bugs: every strategy must reject --- *)
-
-let rd_buggy ~recovery ?(may_fail = true) ?(max_crashes = 1) ~size threads strategy =
-  R.check ~strategy
-    (R.config ~spec:(Rd.spec size)
-       ~init_world:(Rd.init_world ~may_fail size)
-       ~crash_world:Rd.crash_world ~pp_world:Rd.pp_world ~threads ~recovery
-       ~post:(Rd.probe size) ~max_crashes ())
-
-let test_diff_bugs_rd () =
-  differential "bug rd: nop recovery"
-    (rd_buggy ~recovery:Rd.Buggy.recover_nop ~size:1 [ [ Rd.write_call 0 vx ] ]);
-  differential "bug rd: zeroing recovery"
-    (rd_buggy ~recovery:(Rd.Buggy.recover_zero 1) ~may_fail:false ~size:1
-       [ [ Rd.write_call 0 vx ] ]);
-  differential "bug rd: unlocked writers"
-    (rd_buggy ~recovery:(Rd.recover_prog 1) ~max_crashes:0 ~size:1
-       [ [ Rd.Buggy.write_call_unlocked 0 (V.str "a") ];
-         [ Rd.Buggy.write_call_unlocked 0 (V.str "b") ] ])
-
-let test_diff_bugs_wal_shadow () =
-  differential "bug wal: commit before log" (fun strategy ->
-      R.check ~strategy
-        (R.config ~spec:W.spec ~init_world:(W.init_world ())
-           ~crash_world:W.crash_world ~pp_world:W.pp_world
-           ~threads:[ [ W.Buggy.write_call_commit_first vx vy ] ]
-           ~recovery:W.recover_prog ~post:[ W.read_call ] ~max_crashes:1 ()));
-  differential "bug wal: recovery clears flag first" (fun strategy ->
-      R.check ~strategy
-        (R.config ~spec:W.spec ~init_world:(W.init_world ())
-           ~crash_world:W.crash_world ~pp_world:W.pp_world
-           ~threads:[ [ W.write_call vx vy ] ]
-           ~recovery:W.Buggy.recover_clear_first ~post:[ W.read_call ] ~max_crashes:2 ()));
-  differential "bug shadow: in-place write" (fun strategy ->
-      R.check ~strategy
-        (Sc.checker_config ~max_crashes:1 [ [ Sc.Buggy.write_call_in_place vx vy ] ]))
-
-let test_diff_bugs_journal_kvs () =
-  differential "bug journal: record before log" (fun strategy ->
-      R.check ~strategy
-        (J.checker_config ly2 ~max_crashes:1
-           [ [ J.commit_call ly2 [ (0, b "A") ];
-               J.Buggy.commit_call_record_first ly2 [ (0, b "C"); (1, b "D") ] ] ]));
-  differential "bug journal: unlogged multi-write" (fun strategy ->
-      R.check ~strategy
-        (J.checker_config ly2 ~max_crashes:1
-           [ [ J.Buggy.commit_call_no_log ly2 [ (0, b "A"); (1, b "B") ] ] ]));
-  differential "bug kvs: nop recovery" (fun strategy ->
-      R.check ~strategy
-        (R.config ~spec:(K.spec p) ~init_world:(K.init_world p)
-           ~crash_world:K.crash_world ~pp_world:K.pp_world
-           ~threads:[ [ K.txn_call p [ (0, b "A"); (1, b "B") ] ] ]
-           ~recovery:K.Buggy.recover_nop ~post:(K.probe p) ~max_crashes:1 ()));
-  differential "bug kvs: async put vs strict crash spec" (fun strategy ->
-      R.check ~strategy
-        (K.checker_config p ~spec:(K.strict_spec p) ~max_crashes:1
-           [ [ K.put_async_call p 0 (bv "A") ] ]))
+(* the layered storage stacks: the journal on the circular WAL, the file
+   system and the spool on the journal *)
+let test_diff_layered () = List.iter differential (C.wal @ C.fs)
+let test_diff_journal_kvs () = List.iter differential (C.journal_commit_read :: C.kvs)
+let test_diff_bugs_rd () = List.iter differential C.rd_bugs
+let test_diff_bugs_wal_shadow () = List.iter differential C.pattern_bugs
+let test_diff_bugs_journal_kvs () = List.iter differential C.journal_bugs
 
 (* ------------------------------------------------------------------ *)
 (* The reduction is real                                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_kvs_reduction () =
-  let run strategy =
-    R.check ~strategy
-      (K.checker_config p ~max_crashes:1
-         [ [ K.put_call p 0 (bv "A") ]; [ K.get_call p 1 ] ])
-  in
-  let st name r =
-    match r with
+  let st strategy =
+    match C.run ~strategy C.kvs_put_get with
     | R.Refinement_holds st -> st
-    | _ -> Alcotest.failf "kvs put||get should hold under %s" name
+    | _ -> Alcotest.failf "kvs put||get should hold under %s" (E.strategy_name strategy)
   in
-  let naive = st "naive" (run E.Naive) in
-  let dpor = st "dpor" (run E.Dpor) in
+  let naive = st E.Naive in
+  let dpor = st E.Dpor in
   if dpor.R.executions * 3 > naive.R.executions then
     Alcotest.failf "dpor explored %d executions, naive %d: less than the required 3x reduction"
       dpor.R.executions naive.R.executions;
   Alcotest.(check bool) "dpor pruned commutations" true (dpor.R.commutations_pruned > 0);
   Alcotest.(check bool) "dpor skipped clean crash points" true (dpor.R.crash_skips > 0);
-  let sleep = st "dpor+sleep" (run E.Dpor_sleep) in
+  let sleep = st E.Dpor_sleep in
   Alcotest.(check bool) "sleep sets explore no more than dpor" true
     (sleep.R.executions <= dpor.R.executions)
 
@@ -297,65 +190,11 @@ let test_dependence_seeded_pairs () =
 (* Golden counterexamples                                              *)
 (* ------------------------------------------------------------------ *)
 
-let read_golden name =
-  (* cwd is test/ under `dune runtest` but the project root under
-     `dune exec test/test_main.exe` *)
-  let candidates =
-    [ Filename.concat "golden" (name ^ ".lanes.txt");
-      Filename.concat "test/golden" (name ^ ".lanes.txt") ]
-  in
-  let file =
-    match List.find_opt Sys.file_exists candidates with
-    | Some f -> f
-    | None -> Alcotest.failf "golden file %s.lanes.txt not found" name
-  in
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let golden name (run : E.strategy -> R.result) =
-  List.iter
-    (fun s ->
-      match run s with
-      | R.Refinement_violated (f, _) ->
-        Alcotest.(check string)
-          (Printf.sprintf "%s lanes under %s" name (E.strategy_name s))
-          (read_golden name)
-          (Fmt.str "%a" R.pp_failure_lanes f)
-      | r -> Alcotest.failf "%s: expected violation under %s, got %s" name
-               (E.strategy_name s) (verdict r))
-    E.all_strategies
-
 let test_golden_journal () =
-  golden "journal_record_first" (fun strategy ->
-      R.check ~strategy
-        (J.checker_config ly2 ~max_crashes:1
-           [ [ J.commit_call ly2 [ (0, b "A") ];
-               J.Buggy.commit_call_record_first ly2 [ (0, b "C"); (1, b "D") ] ] ]));
-  golden "journal_no_log" (fun strategy ->
-      R.check ~strategy
-        (J.checker_config ly2 ~max_crashes:1
-           [ [ J.Buggy.commit_call_no_log ly2 [ (0, b "A"); (1, b "B") ] ] ]));
-  golden "journal_recover_clear_first" (fun strategy ->
-      R.check ~strategy
-        (R.config ~spec:(J.spec ly2) ~init_world:(J.init_world ly2)
-           ~crash_world:J.crash_world ~pp_world:J.pp_world
-           ~threads:[ [ J.commit_call ly2 [ (0, b "A"); (1, b "B") ] ] ]
-           ~recovery:(J.Buggy.recover_clear_first ly2) ~post:(J.probe ly2)
-           ~max_crashes:2 ()))
+  List.iter (fun i -> Golden.lanes i)
+    C.[ journal_record_first; journal_no_log; journal_recover_clear_first ]
 
-let test_golden_kvs () =
-  golden "kvs_recover_nop" (fun strategy ->
-      R.check ~strategy
-        (R.config ~spec:(K.spec p) ~init_world:(K.init_world p)
-           ~crash_world:K.crash_world ~pp_world:K.pp_world
-           ~threads:[ [ K.txn_call p [ (0, b "A"); (1, b "B") ] ] ]
-           ~recovery:K.Buggy.recover_nop ~post:(K.probe p) ~max_crashes:1 ()));
-  golden "kvs_strict_spec" (fun strategy ->
-      R.check ~strategy
-        (K.checker_config p ~spec:(K.strict_spec p) ~max_crashes:1
-           [ [ K.put_async_call p 0 (bv "A") ] ]))
+let test_golden_kvs () = List.iter (fun i -> Golden.lanes i) C.[ kvs_recover_nop; kvs_strict_spec ]
 
 let suite =
   [

@@ -13,14 +13,12 @@
 module V = Tslang.Value
 module R = Perennial_core.Refinement
 module E = Perennial_core.Explore
+module C = Perennial_catalog.Catalog
 module F = Sched.Fault
 module RD = Systems.Replicated_disk
-module J = Journal.Txn_log
-module K = Journal.Kvs
 module Block = Disk.Block
 
-let b = Block.of_string
-let bv s = Block.to_value (b s)
+let bv s = Block.to_value (Block.of_string s)
 
 let expect_holds name = function
   | R.Refinement_holds stats -> stats
@@ -103,37 +101,18 @@ let test_runner_oracle () =
 (* ------------------------------------------------------------------ *)
 
 let test_rd_ft_holds () =
-  let stats =
-    expect_holds "rd ft read || write, faults 2, 1 crash"
-      (R.check
-         (RD.checker_config ~size:1 ~max_crashes:1 ~fault_budget:2
-            [ [ RD.write_ft_call 0 (bv "x") ]; [ RD.read_ft_call 0 ] ]))
-  in
+  let stats = expect_holds "rd ft read || write, faults 2, 1 crash" (C.run C.rd_ft) in
   Alcotest.(check bool) "faults were injected" true (stats.R.faults_injected > 0);
   Alcotest.(check bool) "distinct schedules counted" true (stats.R.fault_schedules > 1);
   Alcotest.(check bool) "retries observed" true (stats.R.retries_observed > 0)
 
-let ly2 = J.layout ~n_data:2 ~max_slots:2
-
 let test_journal_ft_holds () =
-  let stats =
-    expect_holds "journal commit_ft || read_ft, faults 2, 1 crash"
-      (R.check
-         (J.checker_config ly2 ~max_crashes:1 ~fault_budget:2
-            [ [ J.commit_ft_call ly2 [ (0, b "A"); (1, b "B") ] ]; [ J.read_ft_call ly2 0 ] ]))
-  in
+  let stats = expect_holds "journal commit_ft || read_ft, faults 2, 1 crash" (C.run C.journal_ft) in
   Alcotest.(check bool) "faults were injected" true (stats.R.faults_injected > 0);
   Alcotest.(check bool) "retries observed" true (stats.R.retries_observed > 0)
 
-let p = K.params ~n_keys:2 ()
-
 let test_kvs_ft_holds () =
-  let stats =
-    expect_holds "kvs put_ft + get_ft, faults 2, 1 crash"
-      (R.check
-         (K.checker_config p ~max_crashes:1 ~fault_budget:2
-            [ [ K.put_ft_call p 0 (bv "A"); K.get_ft_call p 0 ] ]))
-  in
+  let stats = expect_holds "kvs put_ft + get_ft, faults 2, 1 crash" (C.run C.kvs_ft) in
   Alcotest.(check bool) "faults were injected" true (stats.R.faults_injected > 0)
 
 (* The fault branches compose with DPOR: every strategy agrees with naive
@@ -144,111 +123,49 @@ let test_ft_strategies_agree () =
       ignore
         (expect_holds
            (Printf.sprintf "rd ft under %s" (E.strategy_name strategy))
-           (R.check ~strategy
-              (RD.checker_config ~size:1 ~max_crashes:1 ~fault_budget:2
-                 [ [ RD.write_ft_call 0 (bv "x") ]; [ RD.read_ft_call 0 ] ]))))
+           (C.run ~strategy C.rd_ft)))
     E.all_strategies
 
 (* ------------------------------------------------------------------ *)
 (* Seeded fault-handling bugs                                           *)
 (* ------------------------------------------------------------------ *)
 
-let assert_fault_in_lanes name f =
-  let lanes = Fmt.str "%a" R.pp_failure_lanes f in
+(* A seeded fault bug, at fault budget 1, is caught with the injected fault
+   visible in the counterexample lanes. *)
+let caught ?strategy inst =
+  let name =
+    C.name inst
+    ^ match strategy with None -> "" | Some s -> " under " ^ E.strategy_name s
+  in
+  let f = expect_violated name (C.run ?strategy ~faults:1 inst) in
   Alcotest.(check bool)
     (name ^ ": injected fault visible in lanes")
     true
-    (Astring_contains.contains lanes "FAULT")
+    (Astring_contains.contains (Fmt.str "%a" R.pp_failure_lanes f) "FAULT")
 
 (* Bug #1: a transient read error answered from the zero-filled buffer
    instead of retrying — one Read_error against non-zero data refutes it. *)
-let test_rd_no_retry_caught () =
-  let f =
-    expect_violated "rd retry-without-re-read"
-      (R.check
-         (RD.checker_config ~may_fail:false ~size:1 ~max_crashes:0 ~fault_budget:1
-            [ [ RD.write_call 0 (bv "x"); RD.Buggy.read_ft_call_no_retry 0 ] ]))
-  in
-  assert_fault_in_lanes "rd retry-without-re-read" f
+let test_rd_no_retry_caught () = caught C.rd_no_retry
 
 (* Bug #2: a torn log write treated as committed — the record points at
    half-written slots, and a crash makes recovery replay the garbage. *)
-let test_journal_torn_commit_caught () =
-  let f =
-    expect_violated "journal torn commit record"
-      (R.check
-         (J.checker_config ly2 ~max_crashes:1 ~fault_budget:1
-            [ [ J.Buggy.commit_ft_call_ignore_torn ly2 [ (0, b "A"); (1, b "B") ] ] ]))
-  in
-  assert_fault_in_lanes "journal torn commit record" f
+let test_journal_torn_commit_caught () = caught C.journal_torn
 
 (* Bug #3: a write error swallowed mid-apply — the put reports success with
    the key never written and recovery already disarmed. *)
-let test_kvs_swallow_apply_caught () =
-  let f =
-    expect_violated "kvs error swallowed after partial apply"
-      (R.check
-         (K.checker_config p ~max_crashes:0 ~fault_budget:1
-            [ [ K.Buggy.put_ft_call_swallow_apply p 0 (bv "A"); K.get_call p 0 ] ]))
-  in
-  assert_fault_in_lanes "kvs error swallowed after partial apply" f
+let test_kvs_swallow_apply_caught () = caught C.kvs_swallow
 
 (* All three bugs are strategy-independent. *)
 let test_bugs_all_strategies () =
   List.iter
-    (fun strategy ->
-      let name s = Printf.sprintf "%s under %s" s (E.strategy_name strategy) in
-      ignore
-        (expect_violated (name "rd no-retry")
-           (R.check ~strategy
-              (RD.checker_config ~may_fail:false ~size:1 ~max_crashes:0 ~fault_budget:1
-                 [ [ RD.write_call 0 (bv "x"); RD.Buggy.read_ft_call_no_retry 0 ] ])));
-      ignore
-        (expect_violated (name "journal torn commit")
-           (R.check ~strategy
-              (J.checker_config ly2 ~max_crashes:1 ~fault_budget:1
-                 [ [ J.Buggy.commit_ft_call_ignore_torn ly2 [ (0, b "A"); (1, b "B") ] ] ])));
-      ignore
-        (expect_violated (name "kvs swallowed apply error")
-           (R.check ~strategy
-              (K.checker_config p ~max_crashes:0 ~fault_budget:1
-                 [ [ K.Buggy.put_ft_call_swallow_apply p 0 (bv "A"); K.get_call p 0 ] ]))))
+    (fun strategy -> List.iter (caught ~strategy) C.[ rd_no_retry; journal_torn; kvs_swallow ])
     E.all_strategies
 
 (* ------------------------------------------------------------------ *)
 (* Golden fault counterexample (all three strategies)                   *)
 (* ------------------------------------------------------------------ *)
 
-let read_golden name =
-  let candidates =
-    [ Filename.concat "golden" (name ^ ".lanes.txt");
-      Filename.concat "test/golden" (name ^ ".lanes.txt") ]
-  in
-  let file =
-    match List.find_opt Sys.file_exists candidates with
-    | Some f -> f
-    | None -> Alcotest.failf "golden file %s.lanes.txt not found" name
-  in
-  let ic = open_in_bin file in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let test_golden_fault_counterexample () =
-  List.iter
-    (fun strategy ->
-      let f =
-        expect_violated
-          (Printf.sprintf "rd no-retry under %s" (E.strategy_name strategy))
-          (R.check ~strategy
-             (RD.checker_config ~may_fail:false ~size:1 ~max_crashes:0 ~fault_budget:1
-                [ [ RD.write_call 0 (bv "x"); RD.Buggy.read_ft_call_no_retry 0 ] ]))
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "rd_fault_no_retry lanes under %s" (E.strategy_name strategy))
-        (read_golden "rd_fault_no_retry")
-        (Fmt.str "%a" R.pp_failure_lanes f))
-    E.all_strategies
+let test_golden_fault_counterexample () = Golden.lanes ~faults:1 C.rd_no_retry
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock budget                                                    *)

@@ -7,6 +7,7 @@
 module V = Tslang.Value
 module R = Perennial_core.Refinement
 module O = Perennial_core.Outline
+module C = Perennial_catalog.Catalog
 module J = Journal.Txn_log
 module K = Journal.Kvs
 module KP = Journal.Kvs_proof
@@ -102,11 +103,7 @@ let test_recovery_idempotent () =
 
 let ly2 = J.layout ~n_data:2 ~max_slots:2
 
-let test_journal_refinement_holds () =
-  expect_holds "commit || read, 1 crash"
-    (R.check
-       (J.checker_config ly2 ~max_crashes:1
-          [ [ J.commit_call ly2 [ (0, b "A"); (1, b "B") ] ]; [ J.read_call ly2 0 ] ]))
+let test_journal_refinement_holds () = Test_explore.expect C.journal_commit_read
 
 let test_journal_crash_during_recovery () =
   expect_holds "commit, 2 crashes (incl. during recovery)"
@@ -117,46 +114,16 @@ let test_journal_crash_during_recovery () =
 (* Commit record before the log entries: after a first transaction has
    left stale slot contents, a crash right after the record write makes
    recovery replay garbage over committed data. *)
-let test_journal_record_first_caught () =
-  expect_violated "record-before-log"
-    (R.check
-       (J.checker_config ly2 ~max_crashes:1
-          [
-            [
-              J.commit_call ly2 [ (0, b "A") ];
-              J.Buggy.commit_call_record_first ly2 [ (0, b "C"); (1, b "D") ];
-            ];
-          ]))
-
-let test_journal_no_log_caught () =
-  expect_violated "in-place multi-address write"
-    (R.check
-       (J.checker_config ly2 ~max_crashes:1
-          [ [ J.Buggy.commit_call_no_log ly2 [ (0, b "A"); (1, b "B") ] ] ]))
-
-let test_journal_recover_clear_first_caught () =
-  expect_violated "recovery clears record before replay"
-    (R.check
-       (R.config ~spec:(J.spec ly2) ~init_world:(J.init_world ly2) ~crash_world:J.crash_world
-          ~pp_world:J.pp_world
-          ~threads:[ [ J.commit_call ly2 [ (0, b "A"); (1, b "B") ] ] ]
-          ~recovery:(J.Buggy.recover_clear_first ly2) ~post:(J.probe ly2) ~max_crashes:2 ()))
+let test_journal_record_first_caught () = Test_explore.expect C.journal_record_first
+let test_journal_no_log_caught () = Test_explore.expect C.journal_no_log
+let test_journal_recover_clear_first_caught () = Test_explore.expect C.journal_recover_clear_first
 
 (* --- kvs: refinement --- *)
 
 let p = K.params ~n_keys:2 ()
 
-let test_kvs_put_get_holds () =
-  expect_holds "put || get, 1 crash"
-    (R.check
-       (K.checker_config p ~max_crashes:1
-          [ [ K.put_call p 0 (bv "A") ]; [ K.get_call p 1 ] ]))
-
-let test_kvs_txn_crash_during_recovery () =
-  expect_holds "txn, 2 crashes (incl. during recovery)"
-    (R.check
-       (K.checker_config p ~max_crashes:2
-          [ [ K.txn_call p [ (0, b "A"); (1, b "B") ] ] ]))
+let test_kvs_put_get_holds () = Test_explore.expect C.kvs_put_get
+let test_kvs_txn_crash_during_recovery () = Test_explore.expect C.kvs_txn
 
 let test_kvs_txn_vs_gets_holds () =
   expect_holds "txn || get (both flavours), no crash"
@@ -168,19 +135,11 @@ let test_kvs_txn_vs_gets_holds () =
             [ K.get_sync_call p 1 ];
           ]))
 
-let test_kvs_group_commit_holds () =
-  expect_holds "async put; flush || get, 1 crash"
-    (R.check
-       (K.checker_config p ~max_crashes:1
-          [ [ K.put_async_call p 0 (bv "A"); K.flush_call p ]; [ K.get_call p 0 ] ]))
+let test_kvs_group_commit_holds () = Test_explore.expect C.kvs_async
 
 (* The loss window is real: against the strict (lossless-crash) spec the
    same store is rejected — an acknowledged async put can vanish. *)
-let test_kvs_strict_spec_rejected () =
-  expect_violated "async put vs strict crash spec"
-    (R.check
-       (K.checker_config p ~spec:(K.strict_spec p) ~max_crashes:1
-          [ [ K.put_async_call p 0 (bv "A") ] ]))
+let test_kvs_strict_spec_rejected () = Test_explore.expect C.kvs_strict_spec
 
 let test_kvs_lossy_spec_accepts_same_instance () =
   expect_holds "async put vs lossy crash spec"
@@ -188,11 +147,7 @@ let test_kvs_lossy_spec_accepts_same_instance () =
 
 (* --- kvs: seeded bugs --- *)
 
-let test_kvs_get_skip_buffer_caught () =
-  expect_violated "get that skips the group-commit buffer"
-    (R.check
-       (K.checker_config p ~max_crashes:0
-          [ [ K.put_async_call p 0 (bv "A"); K.Buggy.get_call_skip_buffer p 0 ] ]))
+let test_kvs_get_skip_buffer_caught () = Test_explore.expect C.kvs_skip_buffer
 
 let test_kvs_record_first_caught () =
   expect_violated "kvs commit record before log entries"
@@ -205,19 +160,8 @@ let test_kvs_record_first_caught () =
             ];
           ]))
 
-let test_kvs_no_log_caught () =
-  expect_violated "kvs txn without the journal"
-    (R.check
-       (K.checker_config p ~max_crashes:1
-          [ [ K.Buggy.txn_no_log p [ (0, b "A"); (1, b "B") ] ] ]))
-
-let test_kvs_recover_nop_caught () =
-  expect_violated "kvs recovery that ignores the record"
-    (R.check
-       (R.config ~spec:(K.spec p) ~init_world:(K.init_world p) ~crash_world:K.crash_world
-          ~pp_world:K.pp_world
-          ~threads:[ [ K.txn_call p [ (0, b "A"); (1, b "B") ] ] ]
-          ~recovery:K.Buggy.recover_nop ~post:(K.probe p) ~max_crashes:1 ()))
+let test_kvs_no_log_caught () = Test_explore.expect C.kvs_txn_no_log
+let test_kvs_recover_nop_caught () = Test_explore.expect C.kvs_recover_nop
 
 (* --- kvs: proof outlines --- *)
 

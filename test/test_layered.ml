@@ -18,9 +18,7 @@ let test_write_crash_no_failures () =
   expect_holds "layered write + crash"
     (L.checker_config ~may_fail:false ~max_crashes:1 [ [ L.write_call vx vy ] ])
 
-let test_write_crash_with_failures () =
-  expect_holds "layered write + crash + disk failure"
-    (L.checker_config ~may_fail:true ~max_crashes:1 [ [ L.write_call vx vy ] ])
+let test_write_crash_with_failures () = Test_explore.expect Perennial_catalog.Catalog.layered
 
 let test_crash_during_composed_recovery () =
   (* a crash inside either stage of the composed recovery must be safe *)

@@ -35,9 +35,7 @@ let seeded_world_and_state ~users u id msg =
 
 (* --- the real Mailboat --- *)
 
-let test_deliver_crash () =
-  expect_holds "deliver with crash"
-    (M.checker_config ~users:1 ~max_crashes:1 [ [ M.deliver_call 0 "ab" ] ])
+let test_deliver_crash () = Test_explore.expect Perennial_catalog.Catalog.mailboat_deliver
 
 let test_deliver_pickup_concurrent () =
   (* §8.2 Pickup/Deliver: concurrent delivery during a pickup session. *)
@@ -101,9 +99,7 @@ let test_recovery_cleans_spool () =
 
 let test_bug_unspooled_deliver () =
   (* Without spooling, a crash mid-write leaves a partial message visible. *)
-  expect_violation "unspooled deliver"
-    (M.checker_config ~users:1 ~max_crashes:1
-       [ [ M.Buggy.deliver_call_unspooled 0 "abcd" ] ])
+  Test_explore.expect Perennial_catalog.Catalog.mailboat_unspooled
 
 let test_bug_unspooled_deliver_concurrent_pickup () =
   (* Even without crashes, a concurrent pickup can read half a message. *)
@@ -125,13 +121,7 @@ let test_bug_unlocked_pickup () =
 
 let test_bug_recover_wrong_dir () =
   (* Recovery that clears mailboxes destroys delivered mail. *)
-  expect_violation "recovery deletes mailboxes"
-    (R.config ~spec:(M.spec ~users:1) ~init_world:(M.init_world ~users:1 ())
-       ~crash_world:M.crash_world ~pp_world:M.pp_world
-       ~threads:[ [ M.deliver_call 0 "ab" ] ]
-       ~recovery:(M.Buggy.recover_wrong_dir ~users:1)
-       ~post:[ M.pickup_call 0; M.unlock_call 0 ]
-       ~max_crashes:1 ())
+  Test_explore.expect Perennial_catalog.Catalog.mailboat_wrong_dir
 
 let test_bug_pickup_infinite_loop () =
   (* The paper's >512-byte bug: direct execution exceeds any step budget

@@ -11,6 +11,7 @@ module C = Obs.Coverage
 module V = Tslang.Value
 module R = Perennial_core.Refinement
 module E = Perennial_core.Explore
+module Cat = Perennial_catalog.Catalog
 module Rd = Systems.Replicated_disk
 module L = Perennial_fs.Layout
 module Fs = Perennial_fs.Fs
@@ -72,14 +73,7 @@ let test_coverage_disabled_noop () =
    explored: a full fs check reports 100% crash coverage. *)
 let test_fs_crash_sites_fully_covered () =
   with_coverage (fun () ->
-      let p = Fs.params (L.v ~n_inodes:4 ~n_blocks:5 ()) in
-      (match
-         R.check
-           (Fs.checker_config p ~dirs:[ "a" ]
-              ~files:[ ("a", "f", "xy") ]
-              ~max_crashes:1
-              [ [ Fs.create_call p "a" "g" ]; [ Fs.append_call p "a" "f" "z" ] ])
-       with
+      (match Cat.run Cat.fs_create_append with
       | R.Refinement_holds _ -> ()
       | _ -> Alcotest.fail "fs instance expected to hold");
       let s = C.summarize ~kind:C.Crash () in
@@ -128,13 +122,7 @@ let test_provenance_ranked_report () =
       E.Prov.reset ();
       E.Prov.set_enabled false)
     (fun () ->
-      let module K = Journal.Kvs in
-      let p = K.params ~n_keys:2 () in
-      (match
-         R.check ~strategy:E.Dpor_sleep
-           (K.checker_config p ~max_crashes:1
-              [ [ K.put_call p 0 (V.str "A") ]; [ K.get_call p 1 ] ])
-       with
+      (match Cat.run ~strategy:E.Dpor_sleep Cat.kvs_put_get with
       | R.Refinement_holds _ -> ()
       | _ -> Alcotest.fail "kvs instance expected to hold");
       let es = E.Prov.entries () in
@@ -341,18 +329,6 @@ let prop_json_roundtrip =
 
 (* --- golden: the Chrome trace export is byte-stable --- *)
 
-(* cwd is test/ under `dune runtest` but the project root under
-   `dune exec test/test_main.exe` *)
-let golden_path () =
-  let candidates = [ "golden/chrome_trace.txt"; "test/golden/chrome_trace.txt" ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some f -> f
-  | None ->
-    if Sys.getenv_opt "GOLDEN_UPDATE" <> None then
-      if Sys.file_exists "golden" then List.hd candidates
-      else List.nth candidates 1
-    else Alcotest.fail "golden file chrome_trace.txt not found"
-
 let test_chrome_golden () =
   let doc =
     with_fake_clock (fun () ->
@@ -371,23 +347,12 @@ let test_chrome_golden () =
         T.reset_spans ();
         J.to_string (T.chrome_json evs) ^ "\n")
   in
-  let path = golden_path () in
-  if Sys.getenv_opt "GOLDEN_UPDATE" <> None then begin
-    let oc = open_out_bin path in
-    output_string oc doc;
-    close_out oc
-  end
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let golden = really_input_string ic n in
-    close_in ic;
-    if doc <> golden then
-      Alcotest.failf
-        "chrome export drifted from %s (rerun with GOLDEN_UPDATE=1 if intended); got (%d bytes): %s"
-        path (String.length doc)
-        (if String.length doc < 2000 then doc else String.sub doc 0 2000)
-  end
+  let golden = Golden.read ~regen:(fun () -> doc) "chrome_trace.txt" in
+  if doc <> golden then
+    Alcotest.failf
+      "chrome export drifted from chrome_trace.txt (rerun with GOLDEN_UPDATE=1 if intended); got (%d bytes): %s"
+      (String.length doc)
+      (if String.length doc < 2000 then doc else String.sub doc 0 2000)
 
 let suite =
   [

@@ -5,6 +5,7 @@
 module V = Tslang.Value
 module R = Perennial_core.Refinement
 module O = Perennial_core.Outline
+module C = Perennial_catalog.Catalog
 module Sc = Systems.Shadow_copy
 module W = Systems.Wal
 module Gc = Systems.Group_commit
@@ -37,18 +38,14 @@ let test_shadow_two_writers () =
     (Sc.checker_config ~max_crashes:1
        [ [ Sc.write_call vx vy ]; [ Sc.write_call vy vx ] ])
 
-let test_shadow_writer_reader () =
-  expect_holds "shadow writer/reader"
-    (Sc.checker_config ~max_crashes:1 [ [ Sc.write_call vx vy ]; [ Sc.read_call ] ])
+let test_shadow_writer_reader () = Test_explore.expect C.shadow_copy
 
 let test_shadow_seq_writes () =
   expect_holds "shadow sequential writes"
     (Sc.checker_config ~max_crashes:1
        [ [ Sc.write_call vx vx; Sc.write_call vy vy ] ])
 
-let test_shadow_bug_in_place () =
-  expect_violation "shadow in-place write"
-    (Sc.checker_config ~max_crashes:1 [ [ Sc.Buggy.write_call_in_place vx vy ] ])
+let test_shadow_bug_in_place () = Test_explore.expect C.shadow_in_place
 
 let test_shadow_bug_flip_first () =
   expect_violation "shadow flip-before-fill"
@@ -60,32 +57,17 @@ let test_wal_write_crash () =
   expect_holds "wal write with crash"
     (W.checker_config ~max_crashes:1 [ [ W.write_call vx vy ] ])
 
-let test_wal_crash_during_recovery () =
-  expect_holds "wal crash during recovery"
-    (W.checker_config ~max_crashes:2 [ [ W.write_call vx vy ] ])
+let test_wal_crash_during_recovery () = Test_explore.expect C.wal_recovery
 
 let test_wal_writer_reader () =
   expect_holds "wal writer/reader"
     (W.checker_config ~max_crashes:1 [ [ W.write_call vx vy ]; [ W.read_call ] ])
 
-let test_wal_bug_no_log () =
-  expect_violation "wal apply without log"
-    (W.checker_config ~max_crashes:1 [ [ W.Buggy.write_call_no_log vx vy ] ])
+let test_wal_bug_no_log () = Test_explore.expect C.wal_no_log
+let test_wal_bug_commit_first () = Test_explore.expect C.wal_commit_first
 
-let test_wal_bug_commit_first () =
-  expect_violation "wal commit before log"
-    (Perennial_core.Refinement.config ~spec:W.spec ~init_world:(W.init_world ())
-       ~crash_world:W.crash_world ~pp_world:W.pp_world
-       ~threads:[ [ W.Buggy.write_call_commit_first vx vy ] ]
-       ~recovery:W.recover_prog ~post:[ W.read_call ] ~max_crashes:1 ())
-
-let test_wal_bug_recover_clear_first () =
-  (* Needs two crashes: one mid-apply, one mid-(broken)-recovery. *)
-  expect_violation "wal recovery clears flag first"
-    (Perennial_core.Refinement.config ~spec:W.spec ~init_world:(W.init_world ())
-       ~crash_world:W.crash_world ~pp_world:W.pp_world
-       ~threads:[ [ W.write_call vx vy ] ]
-       ~recovery:W.Buggy.recover_clear_first ~post:[ W.read_call ] ~max_crashes:2 ())
+(* Needs two crashes: one mid-apply, one mid-(broken)-recovery. *)
+let test_wal_bug_recover_clear_first () = Test_explore.expect C.wal_clear_first
 
 let test_wal_bug_recover_nop () =
   expect_violation "wal no recovery"
@@ -96,9 +78,7 @@ let test_wal_bug_recover_nop () =
 
 (* --- group commit --- *)
 
-let test_gc_write_flush_crash () =
-  expect_holds "group commit write+flush with crash"
-    (Gc.checker_config ~max_crashes:1 [ [ Gc.write_call vx vy; Gc.flush_call ] ])
+let test_gc_write_flush_crash () = Test_explore.expect C.group_commit
 
 let test_gc_concurrent_writers () =
   expect_holds "group commit concurrent writers"
@@ -112,9 +92,7 @@ let test_gc_reader () =
 let test_gc_strict_spec_rejected () =
   (* Against a crash spec that forbids losing buffered transactions, the
      implementation must fail — this is what the lossy spec exists for. *)
-  expect_violation "group commit vs strict spec"
-    (Gc.checker_config ~spec:Gc.strict_spec ~max_crashes:1
-       [ [ Gc.write_call vx vy ] ])
+  Test_explore.expect C.gc_strict_spec
 
 let test_gc_lossy_spec_holds () =
   expect_holds "group commit vs lossy spec"

@@ -35,14 +35,6 @@ let bv s = Disk.Block.to_value (b s)
 (* Flat trace goldens                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let golden_dir () = if Sys.file_exists "golden" then "golden" else "test/golden"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let ly2 = J.layout ~n_data:2 ~max_slots:2
 
 (* crash, crash during recovery, recovery steps, post steps and returns *)
@@ -90,16 +82,10 @@ let test_trace_goldens () =
   let seen = Hashtbl.create 16 in
   List.iter
     (fun (name, run) ->
-      let path = Filename.concat (golden_dir ()) (name ^ ".trace.txt") in
       let render domains s =
         Fmt.str "%a@." R.pp_failure (failure_of name (run domains s))
       in
-      if Sys.getenv_opt "GOLDEN_UPDATE" <> None then begin
-        let oc = open_out_bin path in
-        output_string oc (render None E.Naive);
-        close_out oc
-      end;
-      let want = read_file path in
+      let want = Golden.read ~regen:(fun () -> render None E.Naive) (name ^ ".trace.txt") in
       List.iter (fun e -> Hashtbl.replace seen (kind_phase e) ())
         (failure_of name (run None E.Naive)).R.events;
       List.iter

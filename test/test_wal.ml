@@ -20,6 +20,7 @@
 module V = Tslang.Value
 module R = Perennial_core.Refinement
 module E = Perennial_core.Explore
+module Cat = Perennial_catalog.Catalog
 module Runner = Sched.Runner
 module Block = Disk.Block
 module C = Perennial_wal.Circ
@@ -31,14 +32,6 @@ module Fs = Perennial_fs.Fs
 
 let b = Block.of_string
 let bv s = Block.to_value (b s)
-
-let verdict = function
-  | R.Refinement_holds _ -> "holds"
-  | R.Refinement_violated _ -> "violated"
-  | R.Budget_exhausted _ -> "budget"
-
-let stats_of = function
-  | R.Refinement_holds st | R.Refinement_violated (_, st) | R.Budget_exhausted st -> st
 
 let expect_holds name = function
   | R.Refinement_holds stats -> stats
@@ -52,20 +45,9 @@ let expect_violated name = function
   | R.Budget_exhausted stats ->
     Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
 
-(* Same differential harness as test_explore: same verdict as naive,
-   never more executions. *)
-let differential name (run : E.strategy -> R.result) =
-  let naive = run E.Naive in
-  List.iter
-    (fun s ->
-      let r = run s in
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s verdict" name (E.strategy_name s))
-        (verdict naive) (verdict r);
-      if (stats_of r).R.executions > (stats_of naive).R.executions then
-        Alcotest.failf "%s: %s explored %d executions > naive's %d" name
-          (E.strategy_name s) (stats_of r).R.executions (stats_of naive).R.executions)
-    E.all_strategies
+(* test_explore's differential harness: same verdict as naive, never more
+   executions *)
+let differential name run = ignore (Test_explore.across_strategies name run)
 
 (* ------------------------------------------------------------------ *)
 (* Circ: the ring on its own                                            *)
@@ -74,10 +56,7 @@ let differential name (run : E.strategy -> R.result) =
 let cly = C.layout ~base:0 ~cap:2
 
 let test_circ_positive () =
-  differential "circ: append || snapshot + crash" (fun strategy ->
-      R.check ~strategy
-        (C.checker_config cly ~max_crashes:1
-           [ [ C.append_call cly [ (1, b "x") ] ]; [ C.snapshot_call cly ] ]));
+  Test_explore.differential Cat.circ_append_snapshot;
   differential "circ: append; trim; append wraps + crash" (fun strategy ->
       R.check ~strategy
         (C.checker_config cly ~max_crashes:1
@@ -96,29 +75,16 @@ let test_circ_bug_header_first () =
 (* Wal: positive checks                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let wp = W.params ~n_data:2 ~cap:2 ()
 let wp1 = W.params ~n_data:1 ~cap:2 ()
 
 let test_wal_positive () =
-  differential "wal: mwrite || logger + crash" (fun strategy ->
-      R.check ~strategy
-        (W.checker_config wp1 ~max_crashes:1
-           [ [ W.mwrite_call wp1 [ (0, b "A") ] ]; [ W.logger_call wp1 ] ]));
-  differential "wal: mwrite; flush || installer + crash" (fun strategy ->
-      R.check ~strategy
-        (W.checker_config wp1 ~max_crashes:1
-           [ [ W.mwrite_call wp1 [ (0, b "A") ]; W.flush_call wp1 1 ];
-             [ W.installer_call wp1 ] ]));
+  List.iter Test_explore.differential Cat.[ wal_mwrite_logger; wal_flush_installer ];
   differential "wal: mwrite || read + crash" (fun strategy ->
       R.check ~strategy
         (W.checker_config wp1 ~max_crashes:1
            [ [ W.mwrite_call wp1 [ (0, b "A") ] ]; [ W.read_call wp1 0 ] ]))
 
-let test_wal_crash_during_recovery () =
-  differential "wal: multiwrite flush + crash during recovery" (fun strategy ->
-      R.check ~strategy
-        (W.checker_config wp ~max_crashes:2
-           [ [ W.mwrite_call wp [ (0, b "A"); (1, b "B") ]; W.flush_call wp 1 ] ]))
+let test_wal_crash_during_recovery () = Test_explore.differential Cat.wal_multiwrite_recovery
 
 let test_wal_group_commit_absorption () =
   (* two mwrites to the same address collapse into one logged record;
@@ -140,9 +106,7 @@ let test_wal_faults () =
   (* transient write errors and torn record batches in the logger and
      installer paths are absorbed by unbounded retry *)
   differential "wal: mwrite; flush + fault budget 1 + crash" (fun strategy ->
-      R.check ~strategy ~faults:1
-        (W.checker_config wp1 ~max_crashes:1
-           [ [ W.mwrite_call wp1 [ (0, b "A") ]; W.flush_call wp1 1 ] ]));
+      Cat.run ~strategy ~faults:1 Cat.wal_flush_faults);
   ignore
     (expect_holds "wal: installer under faults"
        (R.check ~faults:1
@@ -161,7 +125,7 @@ let test_wal_domains () =
            [ [ W.mwrite_call wp1 [ (0, b "A") ]; W.flush_call wp1 1 ];
              [ W.logger_call wp1 ] ])
     in
-    Fmt.str "%s %a" (verdict r) R.pp_stats (stats_of r)
+    Fmt.str "%s %a" (R.verdict_name r) R.pp_stats (R.stats_of r)
   in
   let ref_out = run 1 in
   List.iter
@@ -173,79 +137,12 @@ let test_wal_domains () =
 (* Seeded bugs: golden counterexamples                                  *)
 (* ------------------------------------------------------------------ *)
 
-let golden_file name =
-  let candidates =
-    [ Filename.concat "golden" (name ^ ".lanes.txt");
-      Filename.concat "test/golden" (name ^ ".lanes.txt") ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some f -> Some f
-  | None -> None
-
-let read_golden name =
-  match golden_file name with
-  | Some file ->
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  | None -> Alcotest.failf "golden file %s.lanes.txt not found" name
-
-let write_golden name s =
-  let dir = if Sys.file_exists "golden" then "golden" else "test/golden" in
-  let oc = open_out_bin (Filename.concat dir (name ^ ".lanes.txt")) in
-  output_string oc s;
-  close_out oc
-
 (* The rendered counterexample must be byte-identical under every
-   strategy AND every domain count (1/2/4).  GOLDEN_UPDATE=1 regenerates
-   from the naive single-domain run. *)
-let golden_matrix name (run : E.strategy -> domains:int -> R.result) =
-  let render r =
-    match r with
-    | R.Refinement_violated (f, _) -> Fmt.str "%a" R.pp_failure_lanes f
-    | r -> Alcotest.failf "%s: expected violation, got %s" name (verdict r)
-  in
-  if Sys.getenv_opt "GOLDEN_UPDATE" <> None then
-    write_golden name (render (run E.Naive ~domains:1));
-  let want = read_golden name in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun domains ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s lanes under %s domains=%d" name (E.strategy_name s) domains)
-            want
-            (render (run s ~domains)))
-        [ 1; 2; 4 ])
-    E.all_strategies
-
-let test_golden_logger_header_first () =
-  golden_matrix "wal_logger_header_first" (fun strategy ~domains ->
-      R.check ~strategy ~domains
-        (W.checker_config wp1 ~max_crashes:1
-           [ [ W.mwrite_call wp1 [ (0, b "A") ];
-               W.flush_call wp1 1;
-               W.installer_call wp1;
-               W.mwrite_call wp1 [ (0, b "B") ];
-               W.Buggy.logger_call_header_first wp1 ] ]))
-
-let test_golden_installer_trim_first () =
-  golden_matrix "wal_installer_trim_first" (fun strategy ~domains ->
-      R.check ~strategy ~domains
-        (W.checker_config wp1 ~max_crashes:1
-           [ [ W.mwrite_call wp1 [ (0, b "A") ];
-               W.flush_call wp1 1;
-               W.Buggy.installer_call_trim_first wp1 ] ]))
-
-let test_golden_flush_absorb_logged () =
-  golden_matrix "wal_flush_absorb_logged" (fun strategy ~domains ->
-      R.check ~strategy ~domains
-        (W.checker_config wp1 ~max_crashes:1
-           [ [ W.mwrite_call wp1 [ (0, b "A") ];
-               W.logger_call wp1;
-               W.mwrite_call wp1 [ (0, b "B") ];
-               W.Buggy.flush_call_absorb_logged wp1 2 ] ]))
+   strategy AND every domain count (1/2/4). *)
+let golden inst () = Golden.lanes ~domains:[ Some 1; Some 2; Some 4 ] inst
+let test_golden_logger_header_first = golden Cat.wal_header_first
+let test_golden_installer_trim_first = golden Cat.wal_trim_first
+let test_golden_flush_absorb_logged = golden Cat.wal_absorb_logged
 
 (* ------------------------------------------------------------------ *)
 (* Differential backend harness: Txn_log `Direct vs `Wal                *)
@@ -260,7 +157,7 @@ let backend_differential name (run : J.backend -> E.strategy -> R.result) =
       let wal = run `Wal strategy in
       Alcotest.(check string)
         (Printf.sprintf "%s: backends agree under %s" name (E.strategy_name strategy))
-        (verdict direct) (verdict wal))
+        (R.verdict_name direct) (R.verdict_name wal))
     E.all_strategies
 
 let jly = J.layout ~n_data:2 ~max_slots:2
@@ -477,12 +374,12 @@ let test_fingerprint_digest_stability () =
   in
   let render () =
     let r = R.check ~strategy:E.Naive ~fingerprint:true (mk ()) in
-    Fmt.str "%s %a" (verdict r) R.pp_stats (stats_of r)
+    Fmt.str "%s %a" (R.verdict_name r) R.pp_stats (R.stats_of r)
   in
   let first = render () in
   let second = render () in
   Alcotest.(check string) "fingerprint stats stable across identical runs" first second;
-  let st = stats_of (R.check ~strategy:E.Naive ~fingerprint:true (mk ())) in
+  let st = R.stats_of (R.check ~strategy:E.Naive ~fingerprint:true (mk ())) in
   if st.R.fingerprint_misses = 0 then
     Alcotest.fail "fingerprint run digested nothing (misses = 0)"
 
