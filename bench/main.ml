@@ -8,10 +8,9 @@
 
    Flags:
      --quick        skip the slow sections (fig11, micro)
-     --json [FILE]  also write per-section machine-readable results —
-                    {name, iters, ns_per_op, metrics} records, where
-                    [metrics] is the delta of the Obs.Metrics counters the
-                    section caused — to FILE (default BENCH_results.json)
+
+   Every section ends in a shape check; the run exits 1 if any fails, and
+   2 on an unknown section or flag.  Timing is bench/perf's job.
 
    Absolute numbers are produced by this repository's own substrate (pure
    OCaml, a discrete-event multicore simulator); the claims being reproduced
@@ -25,47 +24,6 @@ module C = Perennial_catalog.Catalog
 
 let section title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
-
-(* Machine-readable results, written when --json is given.  Sections are
-   recorded by the driver (wall time + metric deltas); the micro section
-   additionally pushes one record per Bechamel test. *)
-module Bench_out = struct
-  let records : Obs.Json.t list ref = ref []
-
-  (* [latency] is (p50, p95, p99) in microseconds; sections driven by the
-     mcsim simulator carry it, pure-CPU sections omit it. *)
-  let add ?latency name ~iters ~ns_per_op ~metrics =
-    let base =
-      [ ("name", Obs.Json.Str name);
-        ("iters", Obs.Json.Int iters);
-        ("ns_per_op", Obs.Json.Float ns_per_op);
-        ("metrics", Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) metrics)) ]
-    in
-    let base =
-      match latency with
-      | None -> base
-      | Some (p50, p95, p99) ->
-        base
-        @ [ ( "latency_us",
-              Obs.Json.Obj
-                [ ("p50", Obs.Json.Float p50);
-                  ("p95", Obs.Json.Float p95);
-                  ("p99", Obs.Json.Float p99) ] ) ]
-    in
-    records := Obs.Json.Obj base :: !records
-
-  let write path =
-    let doc =
-      Obs.Json.Obj
-        [ ("schema", Obs.Json.Str "perennial-bench/v2");
-          ("sections", Obs.Json.Arr (List.rev !records)) ]
-    in
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Fmt.pr "@.Wrote %d result records to %s@." (List.length !records) path
-end
 
 (* Pass/fail accumulator so the harness can self-report shape checks. *)
 module Shape = struct
@@ -322,23 +280,21 @@ let fig11 () =
     series;
   Fmt.pr "@.  Request latency at 12 cores (us, nearest-rank percentiles):@.";
   Fmt.pr "    %-9s%10s%10s%10s@." "" "p50" "p95" "p99";
-  List.iter
-    (fun s ->
-      let pt =
-        List.find
-          (fun (p : Mcsim.Mail_model.point) -> p.cores = 12)
-          s.Mcsim.Mail_model.points
-      in
-      Fmt.pr "    %-9s%10.1f%10.1f%10.1f@."
-        (Mailboat.Server.kind_name s.Mcsim.Mail_model.kind)
-        pt.lat_p50_us pt.lat_p95_us pt.lat_p99_us;
-      Bench_out.add
-        ("fig11: latency@12c ["
-        ^ Mailboat.Server.kind_name s.Mcsim.Mail_model.kind
-        ^ "]")
-        ~iters:30_000 ~ns_per_op:(pt.lat_p50_us *. 1e3) ~metrics:[]
-        ~latency:(pt.lat_p50_us, pt.lat_p95_us, pt.lat_p99_us))
-    series;
+  let lat_ordered =
+    List.map
+      (fun s ->
+        let pt =
+          List.find
+            (fun (p : Mcsim.Mail_model.point) -> p.cores = 12)
+            s.Mcsim.Mail_model.points
+        in
+        Fmt.pr "    %-9s%10.1f%10.1f%10.1f@."
+          (Mailboat.Server.kind_name s.Mcsim.Mail_model.kind)
+          pt.lat_p50_us pt.lat_p95_us pt.lat_p99_us;
+        pt.lat_p50_us <= pt.lat_p95_us && pt.lat_p95_us <= pt.lat_p99_us)
+      series
+    |> List.for_all Fun.id
+  in
   let find k = List.find (fun (s : Mcsim.Mail_model.series) -> s.kind = k) series in
   let mb = find Mailboat.Server.Mailboat_server
   and gm = find Mailboat.Server.Gomail
@@ -354,8 +310,10 @@ let fig11 () =
     List.for_all (fun c -> at mb c > at gm c && at gm c > at cm c) (List.init 12 (fun i -> i + 1))
   in
   Fmt.pr "    ordering Mailboat > GoMail > CMAIL at every core count: %b@." ordered;
+  Fmt.pr "    p50 <= p95 <= p99 at 12 cores for every server: %b@." lat_ordered;
   Shape.check "fig11"
-    (r1 > 1.5 && r1 < 2.2 && r2 > 1.15 && r2 < 1.6 && scale > 3. && scale < 11. && ordered)
+    (r1 > 1.5 && r1 < 2.2 && r2 > 1.15 && r2 < 1.6 && scale > 3. && scale < 11. && ordered
+   && lat_ordered)
 
 (* ------------------------------------------------------------------ *)
 (* §9.1/Figure 6: pattern walkthrough incl. helping                     *)
@@ -554,19 +512,19 @@ let kvs () =
     series;
   Fmt.pr "@.  Request latency at 12 cores (us, nearest-rank percentiles):@.";
   Fmt.pr "    %-18s%10s%10s%10s@." "" "p50" "p95" "p99";
-  List.iter
-    (fun (s : Mcsim.Kvs_model.series) ->
-      let pt =
-        List.find (fun (p : Mcsim.Kvs_model.point) -> p.cores = 12) s.points
-      in
-      Fmt.pr "    %-18s%10.1f%10.1f%10.1f@."
-        (Mcsim.Kvs_model.variant_name s.variant)
-        pt.lat_p50_us pt.lat_p95_us pt.lat_p99_us;
-      Bench_out.add
-        ("kvs: latency@12c [" ^ Mcsim.Kvs_model.variant_name s.variant ^ "]")
-        ~iters:20_000 ~ns_per_op:(pt.lat_p50_us *. 1e3) ~metrics:[]
-        ~latency:(pt.lat_p50_us, pt.lat_p95_us, pt.lat_p99_us))
-    series;
+  let lat_ordered =
+    List.map
+      (fun (s : Mcsim.Kvs_model.series) ->
+        let pt =
+          List.find (fun (p : Mcsim.Kvs_model.point) -> p.cores = 12) s.points
+        in
+        Fmt.pr "    %-18s%10.1f%10.1f%10.1f@."
+          (Mcsim.Kvs_model.variant_name s.variant)
+          pt.lat_p50_us pt.lat_p95_us pt.lat_p99_us;
+        pt.lat_p50_us <= pt.lat_p95_us && pt.lat_p95_us <= pt.lat_p99_us)
+      series
+    |> List.for_all Fun.id
+  in
   let find v = List.find (fun (s : Mcsim.Kvs_model.series) -> s.variant = v) series in
   let at s c = Mcsim.Kvs_model.throughput_at s c in
   let gl = find Mcsim.Kvs_model.Global_lock
@@ -584,9 +542,11 @@ let kvs () =
   Fmt.pr "    group commit scales (12-core speedup %.1fx > 2x; Amdahl-capped@."
     (at gc 12 /. at gc 1);
   Fmt.pr "      by txn/flush quiesce + GC, like the paper's fig11): %b@." group_scales;
+  Fmt.pr "    p50 <= p95 <= p99 at 12 cores for every variant: %b@." lat_ordered;
   Shape.check "kvs"
     (List.for_all Fun.id held && List.for_all Fun.id caught && outline_ok
-    && buggy_outline_rejected && ordered && group_gain > 1.4 && global_flat && group_scales)
+    && buggy_outline_rejected && ordered && group_gain > 1.4 && global_flat && group_scales
+    && lat_ordered)
 
 (* ------------------------------------------------------------------ *)
 (* Exploration strategies: naive vs DPOR vs DPOR+sleep                  *)
@@ -626,15 +586,6 @@ let strategies () =
             (if s = E.Naive then name else "")
             (E.strategy_name s) st.R.executions st.R.steps st.R.commutations_pruned
             st.R.crash_skips st.R.sleep_skips ms;
-          Bench_out.add
-            (Printf.sprintf "strategies: %s [%s]" name (E.strategy_name s))
-            ~iters:1 ~ns_per_op:(ms *. 1e6)
-            ~metrics:
-              [ ("perennial_refinement_executions_total", st.R.executions);
-                ("perennial_refinement_steps_total", st.R.steps);
-                ("perennial_explore_commutations_pruned_total", st.R.commutations_pruned);
-                ("perennial_explore_crash_skips_total", st.R.crash_skips);
-                ("perennial_explore_sleep_skips_total", st.R.sleep_skips) ];
           if inst == C.kvs_put_get && s = E.Dpor then
             kvs_reduction :=
               float_of_int naive_st.R.executions /. float_of_int (max 1 st.R.executions))
@@ -814,7 +765,6 @@ let wal () =
       in
       let raw = List.length (W.batch_records p_raw txns) in
       let absorbed = List.length (W.batch_records p txns) in
-      let t0 = Unix.gettimeofday () in
       let execs =
         let calls = List.map (fun t -> W.mwrite_call p t) txns @ [ W.flush_call p k ] in
         match R.check (W.checker_config p ~max_crashes:1 [ calls ]) with
@@ -823,29 +773,21 @@ let wal () =
           sweep_ok := false;
           0
       in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000. in
       let ratio = float_of_int k /. float_of_int (max 1 headers) in
       Fmt.pr "    %-8d %8d %12.1f %14d %12d %10d@." k headers ratio raw absorbed execs;
-      Bench_out.add
-        (Printf.sprintf "wal: group commit [batch=%d]" k)
-        ~iters:1 ~ns_per_op:(ms *. 1e6)
-        ~metrics:
-          [ ("perennial_wal_batch_txns", k);
-            ("perennial_wal_header_writes", headers);
-            ("perennial_wal_logged_records_raw", raw);
-            ("perennial_wal_logged_records_absorbed", absorbed);
-            ("perennial_refinement_executions_total", execs) ];
       if headers <> 1 then sweep_ok := false;
       if ratio < !prev_ratio then sweep_ok := false;
       prev_ratio := ratio;
-      (* with 2 hot addresses, any batch beyond 2 has duplicates to absorb *)
-      if k > 2 && absorbed >= raw then sweep_ok := false;
+      (* absorption never grows the log; with 2 hot addresses, any batch
+         beyond 2 has duplicates to absorb *)
+      if absorbed > raw || (k > 2 && absorbed >= raw) then sweep_ok := false;
       if absorbed > 2 then sweep_ok := false)
     [ 1; 2; 4; 8 ];
   Fmt.pr "@.  shape checks:@.";
   Fmt.pr "    wal refinement verified, seeded wal bugs caught: %b@." checked;
-  Fmt.pr "    one header install per drained batch, absorption collapses@.";
-  Fmt.pr "      duplicate addresses (records <= 2 hot addrs): %b@." !sweep_ok;
+  Fmt.pr "    one header install per drained batch, absorption never grows the@.";
+  Fmt.pr "      log and collapses duplicate addresses (records <= 2 hot addrs): %b@."
+    !sweep_ok;
   Shape.check "wal" (checked && !sweep_ok)
 
 (* ------------------------------------------------------------------ *)
@@ -886,40 +828,29 @@ let net () =
   let growth =
     List.map
       (fun budget ->
-        let t0 = Unix.gettimeofday () in
-        let r = R.check ~strategy:E.Dpor_sleep (sweep_cfg budget) in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        match r with
+        match R.check ~strategy:E.Dpor_sleep (sweep_cfg budget) with
         | R.Refinement_holds st ->
           let rate = float_of_int st.R.cache_hits /. float_of_int (max 1 st.R.executions) in
           Fmt.pr "    %-8d %10d %12d %8d %10d %10.2f@." budget st.R.fault_schedules
             st.R.executions st.R.retries_observed st.R.cache_hits rate;
-          Bench_out.add
-            (Printf.sprintf "net: adversary sweep [budget=%d]" budget)
-            ~iters:1 ~ns_per_op:(ms *. 1e6)
-            ~metrics:
-              [ ("perennial_net_budget", budget);
-                ("perennial_net_schedules", st.R.fault_schedules);
-                ("perennial_refinement_executions_total", st.R.executions);
-                ("perennial_net_retries_total", st.R.retries_observed);
-                ("perennial_net_cache_hits_total", st.R.cache_hits) ];
           Some st
         | R.Refinement_violated _ | R.Budget_exhausted _ ->
           Fmt.pr "    %-8d UNEXPECTED verdict@." budget;
           None)
       [ 0; 1; 2 ]
   in
-  let growth_ok =
+  let growth_ok, exercised =
     match growth with
     | [ Some s0; Some s1; Some s2 ] ->
-      s0.R.faults_injected = 0
-      && s1.R.faults_injected > 0
-      && s0.R.executions < s1.R.executions
-      && s1.R.executions < s2.R.executions
-      && s1.R.fault_schedules < s2.R.fault_schedules
-      && s1.R.retries_observed > 0
-      && s1.R.cache_hits > 0
-    | _ -> false
+      ( s0.R.faults_injected = 0
+        && s0.R.fault_schedules = 0
+        && s1.R.faults_injected > 0
+        && s0.R.executions < s1.R.executions
+        && s1.R.executions < s2.R.executions
+        && s0.R.fault_schedules < s1.R.fault_schedules
+        && s1.R.fault_schedules < s2.R.fault_schedules,
+        List.for_all (fun s -> s.R.retries_observed > 0 && s.R.cache_hits > 0) [ s1; s2 ] )
+    | _ -> (false, false)
   in
   Fmt.pr "@.  Exhaustive verification (network x crash x interleavings,@.";
   Fmt.pr "  dpor+sleep); each seeded network bug must be caught, the@.";
@@ -929,9 +860,10 @@ let net () =
   in
   Fmt.pr "@.  shape checks:@.";
   Fmt.pr "    adversary budget grows the state space monotonically: %b@." growth_ok;
+  Fmt.pr "    retries and reply-cache hits at every budget >= 1: %b@." exercised;
   Fmt.pr "    exactly-once + lease fencing verified under the adversary, seeded@.";
   Fmt.pr "      network bugs caught: %b@." checked;
-  Shape.check "net" (growth_ok && checked)
+  Shape.check "net" (growth_ok && exercised && checked)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel exploration: domain sweep + fingerprint pruning             *)
@@ -955,6 +887,7 @@ let parallel () =
   let sweep = [ 1; 2; 4; 8 ] in
   Fmt.pr "  %-44s %8s %8s %10s %8s@." "instance" "domains" "execs" "steps" "time";
   let deterministic = ref true in
+  let fs_speedup = ref 0. in
   List.iter
     (fun (name, inst, strategy) ->
       let rows =
@@ -973,19 +906,15 @@ let parallel () =
           Fmt.pr "  %-44s %8d %8d %10d %6.1fms@."
             (if n = 1 then name else "")
             n st.R.executions st.R.steps ms;
-          Bench_out.add
-            (Printf.sprintf "parallel: %s [domains=%d]" name n)
-            ~iters:1 ~ns_per_op:(ms *. 1e6)
-            ~metrics:
-              [ ("perennial_host_cores", host_cores);
-                ("perennial_refinement_domains", n);
-                ("perennial_refinement_executions_total", st.R.executions);
-                ("perennial_refinement_steps_total", st.R.steps) ];
           if R.verdict_name r <> R.verdict_name base || R.stats_of base <> st then begin
             Fmt.pr "    DETERMINISM VIOLATION: domains=%d diverged from domains=1@." n;
             deterministic := false
           end)
-        rows)
+        rows;
+      if inst == C.fs_create_append_probed then begin
+        let ms_at d = match List.find (fun (n, _, _) -> n = d) rows with _, _, ms -> ms in
+        fs_speedup := ms_at 1 /. Float.max (ms_at 8) 1e-6
+      end)
     instances;
   (* fingerprint pruning: same verdict, strictly fewer executions *)
   Fmt.pr "@.  fingerprint pruning (naive strategy, kvs put||get):@.";
@@ -995,11 +924,6 @@ let parallel () =
   Fmt.pr "    plain: %d executions; fingerprinted: %d (%d hits, %d misses)@."
     (R.stats_of plain).R.executions fp_st.R.executions fp_st.R.fingerprint_hits
     fp_st.R.fingerprint_misses;
-  Bench_out.add "parallel: kvs put||get [fingerprint]" ~iters:1 ~ns_per_op:0.
-    ~metrics:
-      [ ("perennial_refinement_executions_total", fp_st.R.executions);
-        ("perennial_fingerprint_hits_total", fp_st.R.fingerprint_hits);
-        ("perennial_fingerprint_misses_total", fp_st.R.fingerprint_misses) ];
   (* symmetry: two interchangeable writers collapse further *)
   let sym_cfg =
     RD.checker_config ~may_fail:false ~max_crashes:1 ~size:1
@@ -1020,7 +944,13 @@ let parallel () =
   Fmt.pr "    stats identical across the domain sweep: %b@." !deterministic;
   Fmt.pr "    fingerprinting prunes without changing the verdict: %b@." fp_prunes;
   Fmt.pr "    symmetry never explores more classes than plain fingerprints: %b@." sym_ok;
-  Shape.check "parallel" (!deterministic && fp_prunes && sym_ok)
+  (* wall time only means something with cores to spread over *)
+  let speedup_ok = host_cores < 4 || !fs_speedup >= 2. in
+  if host_cores < 4 then Fmt.pr "    speedup gate skipped (host cores %d < 4)@." host_cores
+  else
+    Fmt.pr "    fs create||append 8-domain speedup %.2fx (required: >= 2x): %b@." !fs_speedup
+      speedup_ok;
+  Shape.check "parallel" (!deterministic && fp_prunes && sym_ok && speedup_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (Bechamel)                                          *)
@@ -1103,9 +1033,7 @@ let micro () =
       Hashtbl.iter
         (fun name result ->
           match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Fmt.pr "  %-40s %12.1f ns/run@." name est;
-            Bench_out.add ("micro: " ^ name) ~iters:1 ~ns_per_op:est ~metrics:[]
+          | Some [ est ] -> Fmt.pr "  %-40s %12.1f ns/run@." name est
           | Some _ | None -> Fmt.pr "  %-40s (no estimate)@." name)
         results)
     tests
@@ -1124,40 +1052,20 @@ let all =
 let slow_sections = [ "fig11"; "micro" ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args = List.filter (fun a -> a <> "--") args in
+  let args = List.filter (fun a -> a <> "--") (List.tl (Array.to_list Sys.argv)) in
   let quick = List.mem "--quick" args in
-  let json_flag = List.mem "--json" args in
-  let json_file =
-    match List.find_opt (fun a -> Filename.check_suffix a ".json") args with
-    | Some f -> Some f
-    | None -> if json_flag then Some "BENCH_results.json" else None
-  in
-  let args =
-    List.filter
-      (fun a -> a <> "--quick" && a <> "--json" && not (Filename.check_suffix a ".json"))
-      args
-  in
+  let chosen = List.filter (fun a -> a <> "--quick") args in
+  (match List.filter (fun a -> not (List.mem_assoc a all)) chosen with
+  | [] -> ()
+  | bad ->
+    Fmt.epr "unknown section or flag: %s@.valid sections: %s@.flags: --quick@."
+      (String.concat " " bad) (String.concat " " (List.map fst all));
+    exit 2);
   let chosen =
-    if args <> [] then args
+    if chosen <> [] then chosen
     else if quick then
       List.filter (fun n -> not (List.mem n slow_sections)) (List.map fst all)
     else List.map fst all
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name all with
-      | Some f ->
-        if json_file = None then f ()
-        else begin
-          let before = Obs.Metrics.snapshot () in
-          let t0 = Obs.Trace.now_us () in
-          f ();
-          let dt_ns = (Obs.Trace.now_us () -. t0) *. 1e3 in
-          Bench_out.add name ~iters:1 ~ns_per_op:dt_ns
-            ~metrics:(Obs.Metrics.counters_delta ~before ~after:(Obs.Metrics.snapshot ()))
-        end
-      | None -> Fmt.epr "unknown section %s@." name)
-    chosen;
-  Option.iter Bench_out.write json_file;
+  List.iter (fun name -> (List.assoc name all) ()) chosen;
   Shape.report ()

@@ -1420,9 +1420,7 @@ let check_random_walks ~schedules ~first ~last ~seed ~crash_prob ?domains cfg =
 let check_random ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ?domains cfg =
   check_random_walks ~schedules ~first:1 ~last:schedules ~seed ~crash_prob ?domains cfg
 
-let check_random_replay ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ?domains
-    ~schedule cfg =
+let check_random_replay ?(schedules = 200) ?(seed = 17) ?(crash_prob = 0.05) ~schedule cfg =
   if schedule < 1 || schedule > schedules then
     invalid_arg "Refinement.check_random_replay: schedule out of range";
-  check_random_walks ~schedules ~first:schedule ~last:schedule ~seed ~crash_prob ?domains
-    cfg
+  check_random_walks ~schedules ~first:schedule ~last:schedule ~seed ~crash_prob cfg

@@ -269,7 +269,6 @@ val check_random_replay :
   ?schedules:int ->
   ?seed:int ->
   ?crash_prob:float ->
-  ?domains:int ->
   schedule:int ->
   ('w, 's) config ->
   result
@@ -278,4 +277,5 @@ val check_random_replay :
     same trace, same verdict, same [reason] prefix — without re-running the
     preceding walks.  [schedules] (default 200) only scales the ["I/N"] in
     the reason and must match the original run for byte-identical output.
-    Raises [Invalid_argument] if [schedule] is outside [1..schedules]. *)
+    The replay is one walk, so it runs on the calling domain whatever
+    [~domains] the original run used.  Raises [Invalid_argument] if [schedule] is outside [1..schedules]. *)

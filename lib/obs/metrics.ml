@@ -211,20 +211,6 @@ let to_json ?(registry = default) () =
          (render_key s, v))
        (snapshot ~registry ()))
 
-let counters_delta ~before ~after =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun s -> match s.value with Counter c -> Hashtbl.replace tbl (render_key s) c | _ -> ())
-    before;
-  List.filter_map
-    (fun s ->
-      match s.value with
-      | Counter c ->
-        let prev = Option.value ~default:0 (Hashtbl.find_opt tbl (render_key s)) in
-        if c - prev <> 0 then Some (render_key s, c - prev) else None
-      | _ -> None)
-    after
-
 let pp_samples ppf samples =
   List.iter
     (fun s ->

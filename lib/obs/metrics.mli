@@ -21,7 +21,7 @@ val default : registry
 
 val reset : registry -> unit
 (** Zero every metric's value.  Handles stay valid, which is how tests and
-    the bench harness take per-section deltas. *)
+    the perf harness measure one run at a time. *)
 
 (** {2 Counters} — monotonically non-decreasing integers *)
 
@@ -81,11 +81,6 @@ val snapshot : ?registry:registry -> unit -> sample list
 val to_json : ?registry:registry -> unit -> Json.t
 (** An object mapping ["name{k=v,...}"] to the metric's value (counters and
     gauges as numbers, histograms as [{sum; count; buckets}]). *)
-
-val counters_delta : before:sample list -> after:sample list -> (string * int) list
-(** Counter differences between two snapshots (only nonzero ones), keyed by
-    the rendered ["name{k=v,...}"] — the per-section metrics the bench
-    harness attaches to its JSON records. *)
 
 val pp_samples : sample list Fmt.t
 val pp : ?registry:registry -> unit Fmt.t

@@ -88,17 +88,11 @@ let test_reset_zeroes_but_keeps_handles () =
   M.inc c;
   Alcotest.(check int) "handle still live after reset" 1 (M.counter_value c)
 
-let test_snapshot_and_delta () =
+let test_snapshot_json () =
   let r = M.create () in
   let c = M.counter ~registry:r ~labels:[ ("op", "put") ] "ops_total" in
   M.inc ~by:3 c;
-  let before = M.snapshot ~registry:r () in
   M.inc ~by:4 c;
-  let after = M.snapshot ~registry:r () in
-  Alcotest.(check (list (pair string int)))
-    "delta names the metric with labels"
-    [ ("ops_total{op=put}", 4) ]
-    (M.counters_delta ~before ~after);
   match M.to_json ~registry:r () with
   | J.Obj [ ("ops_total{op=put}", J.Int 7) ] -> ()
   | j -> Alcotest.failf "unexpected json: %s" (J.to_string j)
@@ -279,7 +273,7 @@ let suite =
     Alcotest.test_case "gauge ops" `Quick test_gauge_ops;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "reset keeps handles" `Quick test_reset_zeroes_but_keeps_handles;
-    Alcotest.test_case "snapshot, delta, json" `Quick test_snapshot_and_delta;
+    Alcotest.test_case "snapshot, json" `Quick test_snapshot_json;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip_values;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "null sink disabled" `Quick test_null_sink_disabled;

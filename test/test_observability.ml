@@ -2,7 +2,8 @@
    its vacuity detector, pruning provenance, causal span trees threaded
    through fs -> txn_log -> disk, latency percentiles, and the byte-stable
    Chrome trace golden.  Also the qcheck round-trip properties for metrics
-   snapshots and JSON documents. *)
+   snapshots and JSON documents, and the perennial_ prefix of every metric
+   name in the default registry. *)
 
 module M = Obs.Metrics
 module T = Obs.Trace
@@ -284,20 +285,18 @@ let prop_snapshot_json_roundtrip =
       | Error _ -> false
       | Ok doc -> doc = M.to_json ~registry:r ())
 
-let prop_counters_delta =
-  QCheck.Test.make ~count:100 ~name:"counters_delta reports exactly the increments"
-    QCheck.(pair arb_metrics arb_metrics)
-    (fun (base, extra) ->
-      let r = M.create () in
-      List.iter (fun (n, labels, v) -> M.inc ~by:v (M.counter ~registry:r ~labels n)) base;
-      let before = M.snapshot ~registry:r () in
-      List.iter (fun (n, labels, v) -> M.inc ~by:v (M.counter ~registry:r ~labels n)) extra;
-      let after = M.snapshot ~registry:r () in
-      let delta = M.counters_delta ~before ~after in
-      (* every reported delta is positive, and the sum matches what we added *)
-      List.for_all (fun (_, d) -> d > 0) delta
-      && List.fold_left (fun acc (_, d) -> acc + d) 0 delta
-         = List.fold_left (fun acc (_, _, v) -> acc + v) 0 extra)
+(* every metric the instrumented subsystems put in the default registry is
+   perennial_-prefixed: a bare name ("executions") regressed once *)
+let test_metric_names_prefixed () =
+  ignore (Cat.run Cat.kvs_put_get);
+  let p = Fs.params (L.v ~n_inodes:3 ~n_blocks:4 ()) in
+  let w = Fs.init_world p ~dirs:[ "a" ] ~files:[ ("a", "f", "") ] in
+  ignore (Sched.Runner.run w [ Fs.append_prog p "a" "f" "y" ]);
+  let names = List.map (fun (s : M.sample) -> s.name) (M.snapshot ()) in
+  Alcotest.(check bool) "the check registered its counters" true
+    (List.mem "perennial_refinement_executions_total" names);
+  Alcotest.(check (list string)) "metric names without the perennial_ prefix" []
+    (List.filter (fun n -> not (String.starts_with ~prefix:"perennial_" n)) names)
 
 let gen_json =
   QCheck.Gen.(
@@ -373,7 +372,8 @@ let suite =
     Alcotest.test_case "sim populates per-request latencies" `Quick
       test_sim_latencies_populated;
     QCheck_alcotest.to_alcotest prop_snapshot_json_roundtrip;
-    QCheck_alcotest.to_alcotest prop_counters_delta;
+    Alcotest.test_case "default registry: every metric name is perennial_*" `Quick
+      test_metric_names_prefixed;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "chrome trace export is byte-stable (golden)" `Quick
       test_chrome_golden;

@@ -522,20 +522,14 @@ let test_random_domains () =
       check_stats (Printf.sprintf "random stats domains=%d vs 1" n) (R.stats_of d1)
         (R.stats_of r))
     [ 2; 4 ];
-  (* the reason prefix alone replays the failure, at any domain count *)
+  (* the reason prefix alone replays the failure *)
   let schedule =
     Scanf.sscanf seq_reason "[seed=%d schedule=%d/%d]" (fun _ i _ -> i)
   in
-  List.iter
-    (fun domains ->
-      match
-        R.check_random_replay ~schedules ~seed ~crash_prob ?domains ~schedule
-          random_bug_cfg
-      with
-      | R.Refinement_violated (f, _) ->
-        Alcotest.(check string) "replayed reason" seq_reason f.R.reason
-      | r -> Alcotest.failf "replay: expected violation, got %s" (R.verdict_name r))
-    [ None; Some 2 ]
+  match R.check_random_replay ~schedules ~seed ~crash_prob ~schedule random_bug_cfg with
+  | R.Refinement_violated (f, _) ->
+    Alcotest.(check string) "replayed reason" seq_reason f.R.reason
+  | r -> Alcotest.failf "replay: expected violation, got %s" (R.verdict_name r)
 
 let test_random_domains_honest () =
   let run domains =
