@@ -2,9 +2,8 @@
    it is within the Goose subset, and emit the Perennial (Coq-flavoured)
    model, exactly like the paper's `goose` tool.
 
-   Usage: goose_cli FILE.go [--ast] [--metrics]
-   (translate, or dump the AST; --metrics prints the Obs.Metrics registry
-   afterwards — interpreter counters populate it when the model is run) *)
+   Usage: goose_cli FILE.go [--ast]
+   (translate, or dump the AST) *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -26,11 +25,8 @@ let dump_ast (file : Goose.Ast.file) =
     file.funcs
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let metrics = List.mem "--metrics" args in
-  let args = List.filter (fun a -> a <> "--metrics") args in
-  (match args with
-  | path :: rest ->
+  match List.tl (Array.to_list Sys.argv) with
+  | path :: rest when List.for_all (String.equal "--ast") rest ->
     let src = read_file path in
     if List.mem "--ast" rest then (
       match Goose.Parser.parse_file src with
@@ -50,6 +46,5 @@ let () =
         Printf.eprintf "%s: %s\n" path e;
         exit 1)
   | _ ->
-    prerr_endline "usage: goose_cli FILE.go [--ast] [--metrics]";
-    exit 2);
-  if metrics then Fmt.pr "@.Metrics:@.%a" (Obs.Metrics.pp ?registry:None) ()
+    prerr_endline "usage: goose_cli FILE.go [--ast]";
+    exit 2

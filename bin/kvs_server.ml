@@ -50,7 +50,7 @@ let demo () =
   print_endline " group-commit window the KVS spec makes explicit)"
 
 let usage () =
-  prerr_endline "usage: kvs_server [demo|repl] [--metrics] [--timeout-ms N]";
+  prerr_endline "usage: kvs_server [demo|repl] [--timeout-ms N]";
   exit 2
 
 (* --timeout-ms N: per-command budget for the repl; a command that blows it
@@ -70,12 +70,9 @@ let rec split_timeout acc = function
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let metrics = List.mem "--metrics" args in
-  let args = List.filter (fun a -> a <> "--metrics") args in
   let timeout_ms, args = split_timeout [] args in
   let mode = match args with m :: _ -> m | [] -> "demo" in
-  (match mode with
+  match mode with
   | "demo" -> demo ()
   | "repl" -> repl ?timeout_ms ()
-  | _ -> usage ());
-  if metrics then Fmt.pr "@.Metrics:@.%a" (Obs.Metrics.pp ?registry:None) ()
+  | _ -> usage ()

@@ -44,10 +44,8 @@ let interact mk_input banner =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let metrics = List.mem "--metrics" args in
-  let args = List.filter (fun a -> a <> "--metrics") args in
   let mode = match args with m :: _ -> m | [] -> "demo" in
-  (match mode with
+  match mode with
   | "demo" -> demo ()
   | "smtp" ->
     let server = Mailboat.Server.create ~kind:Mailboat.Server.Mailboat_server ~users:100 () in
@@ -56,6 +54,5 @@ let () =
     let server = Mailboat.Server.create ~kind:Mailboat.Server.Mailboat_server ~users:100 () in
     interact (fun () -> Mailboat.Pop3.input (Mailboat.Pop3.create server)) Mailboat.Pop3.banner
   | _ ->
-    prerr_endline "usage: mailboat_server [demo|smtp|pop3] [--metrics]";
-    exit 2);
-  if metrics then Fmt.pr "@.Metrics:@.%a" (Obs.Metrics.pp ?registry:None) ()
+    prerr_endline "usage: mailboat_server [demo|smtp|pop3]";
+    exit 2

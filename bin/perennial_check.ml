@@ -17,8 +17,10 @@
                  chrome://tracing or ui.perfetto.dev): span events for the
                  exploration/recovery/post phases, instant events for every
                  injected crash or fault.
-   --metrics     print the metrics registry (counters, gauges, histograms
-                 accumulated by the checkers) after the report.
+   --metrics     after the report, print the refinement checks' wall time
+                 split into explore (whole checks), recovery and post
+                 phases, in microseconds, plus the parallel work items and
+                 steals.  Every count is in the per-check stats lines.
    --coverage    enable the site registry: every crash point, fault point,
                  and spec arm the checks could exercise is registered, hits
                  are counted, and a coverage report (with the vacuity list

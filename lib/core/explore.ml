@@ -160,20 +160,3 @@ module Prov = struct
     if List.length es > 40 then
       Format.fprintf ppf "  ... %d more@," (List.length es - 40)
 end
-
-(* ------------------------------------------------------------------ *)
-(* Observability                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Mx = struct
-  open Obs.Metrics
-
-  let commutations = counter "perennial_explore_commutations_pruned_total"
-  let sleep_skips = counter "perennial_explore_sleep_skips_total"
-  let crash_skips = counter "perennial_explore_crash_skips_total"
-end
-
-let strategy_us s =
-  Obs.Metrics.gauge
-    ~labels:[ ("strategy", strategy_name s) ]
-    "perennial_explore_strategy_us"

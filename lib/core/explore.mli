@@ -124,16 +124,3 @@ module Prov : sig
   val total : unit -> int
   val pp_report : Format.formatter -> unit -> unit
 end
-
-(** Obs counters for the reduction itself (on the default registry). *)
-module Mx : sig
-  val commutations : Obs.Metrics.counter
-      (** enabled steps never explored because no race required them *)
-
-  val sleep_skips : Obs.Metrics.counter
-  val crash_skips : Obs.Metrics.counter
-end
-
-val strategy_us : strategy -> Obs.Metrics.gauge
-(** Accumulated wall time of checks run under the given strategy
-    ([perennial_explore_strategy_us{strategy=...}]). *)

@@ -249,52 +249,6 @@ let check_idempotence sys (h : A.heap) =
 
 let checked = ref 0
 
-(* Observability: one pre-resolved counter per outline rule, bumped as the
-   rule fires in [step]; obligation-level counters bumped in [run_check]
-   and [check_system]. *)
-module Mx = struct
-  open Obs.Metrics
-
-  let rule name = counter ~labels:[ ("rule", name) ] "perennial_outline_rule_applications_total"
-  let acquire = rule "acquire"
-  let release = rule "release"
-  let write_durable = rule "write_durable"
-  let read_durable = rule "read_durable"
-  let write_mem = rule "write_mem"
-  let read_mem = rule "read_mem"
-  let alloc_mem = rule "alloc_mem"
-  let open_inv = rule "open_inv"
-  let atomic = rule "atomic"
-  let simulate = rule "simulate"
-  let crash_step = rule "crash_step"
-  let synthesize = rule "synthesize"
-  let choice = rule "choice"
-  let case_eq = rule "case_eq"
-  let assert_eq = rule "assert_eq"
-  let obligations = counter "perennial_outline_obligations_total"
-  let accepted = counter "perennial_outline_accepted_total"
-  let rejected = counter "perennial_outline_rejected_total"
-  let branches = counter "perennial_outline_branches_total"
-  let cmds = counter "perennial_outline_cmds_checked_total"
-end
-
-let rule_counter = function
-  | Acquire _ -> Mx.acquire
-  | Release _ -> Mx.release
-  | Write_durable _ -> Mx.write_durable
-  | Read_durable _ -> Mx.read_durable
-  | Write_mem _ -> Mx.write_mem
-  | Read_mem _ -> Mx.read_mem
-  | Alloc_mem _ -> Mx.alloc_mem
-  | Open_inv _ -> Mx.open_inv
-  | Atomic _ -> Mx.atomic
-  | Simulate _ -> Mx.simulate
-  | Crash_step -> Mx.crash_step
-  | Synthesize _ -> Mx.synthesize
-  | Choice _ -> Mx.choice
-  | Case_eq _ -> Mx.case_eq
-  | Assert_eq _ -> Mx.assert_eq
-
 (* A symbolic state whose pure facts are contradictory, or that owns two
    copies of an exclusive capability, describes an unreachable execution:
    the branch is vacuously verified. *)
@@ -306,7 +260,6 @@ let rec exec sys mode ~toplevel (st : st) (cmds : cmd list) : st list =
   | [] -> [ st ]
   | cmd :: rest ->
     incr checked;
-    Obs.Metrics.inc (rule_counter cmd);
     if vacuous_state st then [ st ]
     else begin
       let posts = step sys mode ~toplevel st cmd in
@@ -507,19 +460,9 @@ and step sys mode ~toplevel (st : st) (cmd : cmd) : st list =
 
 let run_check f =
   checked := 0;
-  Obs.Metrics.inc Mx.obligations;
-  match
-    Obs.Trace.with_span ~cat:"outline" "outline.check" f
-  with
-  | branches ->
-    Obs.Metrics.inc Mx.accepted;
-    Obs.Metrics.inc ~by:branches Mx.branches;
-    Obs.Metrics.inc ~by:!checked Mx.cmds;
-    Accepted { branches; cmds_checked = !checked }
-  | exception Reject why ->
-    Obs.Metrics.inc Mx.rejected;
-    Obs.Metrics.inc ~by:!checked Mx.cmds;
-    Rejected why
+  match Obs.Trace.with_span ~cat:"outline" "outline.check" f with
+  | branches -> Accepted { branches; cmds_checked = !checked }
+  | exception Reject why -> Rejected why
 
 (** Check one operation outline: from [j ⤇ op(args)], through the body,
     to [j ⤇ ret].  Lock invariants are implicit ambient state; crash

@@ -219,52 +219,26 @@ let verdict_name = function
 (* Observability                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Registry handles are resolved once here; the hot exploration loop only
-   touches its own [counters] record, and the totals are added to the
-   registry in one [snapshot] call per check — with no sink installed the
-   per-step cost of observability is zero.  Trace spans (phases) and
-   instants (crash injections) are emitted live, gated on
+(* A run's counts live only in its [stats].  The registry holds just what
+   a deterministic result cannot: the phase wall times and how the
+   parallel work was split, added once per check.  Trace spans (phases)
+   and instants (crash injections) are emitted live, gated on
    [Obs.Trace.enabled]. *)
 module Mx = struct
   open Obs.Metrics
 
-  let checks = counter "perennial_refinement_checks_total"
-  let executions = counter "perennial_refinement_executions_total"
-  let steps = counter "perennial_refinement_steps_total"
-  let crashes = counter "perennial_refinement_crash_injections_total"
-  let vacuous = counter "perennial_refinement_vacuous_prunes_total"
-  let dedup_hits = counter "perennial_refinement_dedup_hits_total"
-  let violations = counter "perennial_refinement_violations_total"
-  let max_candidates = gauge "perennial_refinement_max_candidates"
-  let frontier = gauge "perennial_refinement_frontier_depth_hwm"
-
-  let cand_sizes =
-    histogram ~buckets:[ 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. ]
-      "perennial_refinement_candidate_set_size"
-
-  let faults = counter "perennial_refinement_faults_injected_total"
-  let fault_scheds = counter "perennial_refinement_fault_schedules_total"
-  let retries = counter "perennial_refinement_retries_observed_total"
-  let cache_hits = counter "perennial_refinement_cache_hits_total"
-
-  let fp_hits = counter "perennial_refinement_fingerprint_hits_total"
-  let fp_misses = counter "perennial_refinement_fingerprint_misses_total"
-
-  let domains_g = gauge "perennial_refinement_domains"
+  let explore_us = gauge ~labels:[ ("phase", "explore") ] "perennial_refinement_phase_us"
+  let recovery_us = gauge ~labels:[ ("phase", "recovery") ] "perennial_refinement_phase_us"
+  let post_us = gauge ~labels:[ ("phase", "post") ] "perennial_refinement_phase_us"
   let work_items = counter "perennial_refinement_work_items_total"
 
   let steals = counter "perennial_refinement_steals_total"
   (** work items executed by a non-primary domain — timing-dependent, never
       part of deterministic {!stats} *)
-
-  let check_seconds = histogram "perennial_refinement_check_seconds"
-  let explore_us = gauge ~labels:[ ("phase", "explore") ] "perennial_refinement_phase_us"
-  let recovery_us = gauge ~labels:[ ("phase", "recovery") ] "perennial_refinement_phase_us"
-  let post_us = gauge ~labels:[ ("phase", "post") ] "perennial_refinement_phase_us"
 end
 
-(* Internal mutable counters; one record per engine instance (the legacy
-   whole-run engine, the phase-1 splitter, or one parallel work item), never
+(* Internal mutable counters; one record per kernel run (a sequential
+   check, the phase-1 splitter, or one job of the worker pool), never
    shared between domains — merged with [merge_into] and snapshotted into
    [stats] once per check. *)
 type counters = {
@@ -320,22 +294,6 @@ let merge_into dst src =
   dst.c_post_us <- dst.c_post_us +. src.c_post_us
 
 let snapshot ctr =
-  Obs.Metrics.inc ~by:ctr.c_executions Mx.executions;
-  Obs.Metrics.inc ~by:ctr.c_steps Mx.steps;
-  Obs.Metrics.inc ~by:ctr.c_crashes Mx.crashes;
-  Obs.Metrics.inc ~by:ctr.c_vacuous Mx.vacuous;
-  Obs.Metrics.inc ~by:ctr.c_dedup Mx.dedup_hits;
-  Obs.Metrics.record_max Mx.max_candidates (float_of_int ctr.c_max_candidates);
-  Obs.Metrics.record_max Mx.frontier (float_of_int ctr.c_frontier);
-  Obs.Metrics.inc ~by:ctr.c_commut Explore.Mx.commutations;
-  Obs.Metrics.inc ~by:ctr.c_sleep Explore.Mx.sleep_skips;
-  Obs.Metrics.inc ~by:ctr.c_crash_skips Explore.Mx.crash_skips;
-  Obs.Metrics.inc ~by:ctr.c_faults Mx.faults;
-  Obs.Metrics.inc ~by:ctr.c_fault_scheds Mx.fault_scheds;
-  Obs.Metrics.inc ~by:ctr.c_retries Mx.retries;
-  Obs.Metrics.inc ~by:ctr.c_cache_hits Mx.cache_hits;
-  Obs.Metrics.inc ~by:ctr.c_fp_hits Mx.fp_hits;
-  Obs.Metrics.inc ~by:ctr.c_fp_misses Mx.fp_misses;
   Obs.Metrics.add Mx.recovery_us ctr.c_recovery_us;
   Obs.Metrics.add Mx.post_us ctr.c_post_us;
   {
@@ -370,12 +328,7 @@ let timed_phase name cell f =
 let timed_check name f =
   let t0 = Obs.Trace.now_us () in
   let finish r =
-    let dt = Obs.Trace.now_us () -. t0 in
-    Obs.Metrics.observe Mx.check_seconds (dt /. 1e6);
-    Obs.Metrics.add Mx.explore_us dt;
-    (match r with
-    | Refinement_violated _ -> Obs.Metrics.inc Mx.violations
-    | Refinement_holds _ | Budget_exhausted _ -> ());
+    Obs.Metrics.add Mx.explore_us (Obs.Trace.now_us () -. t0);
     r
   in
   if Obs.Trace.enabled () then
@@ -445,10 +398,7 @@ let make_tracker (type s) (spec : s Spec.t) (ctr : counters) ~(live : bool ref) 
 
     let compare = compare_cand
   end) in
-  let observe_size n =
-    Obs.Metrics.observe Mx.cand_sizes (float_of_int n);
-    if n > ctr.c_max_candidates then ctr.c_max_candidates <- n
-  in
+  let observe_size n = if n > ctr.c_max_candidates then ctr.c_max_candidates <- n in
   let dedup cands =
     let n0 = List.length cands in
     let sorted = List.sort_uniq compare_cand cands in
@@ -1266,7 +1216,6 @@ let deadline_of = function
    after another fails: early cancellation would make the merged stats
    depend on timing. *)
 let run_pool ~domains ~into n job =
-  Obs.Metrics.set Mx.domains_g (float_of_int domains);
   let ctrs = Array.init n (fun _ -> fresh_counters ()) in
   let results = Array.make n I_ok in
   let next = Atomic.make 0 in
@@ -1317,7 +1266,6 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   (match domains with
   | Some n when n < 1 -> invalid_arg "Refinement.check: domains must be >= 1"
   | _ -> ());
-  Obs.Metrics.inc Mx.checks;
   let fault_budget =
     match faults with Some n -> max 0 n | None -> cfg.fault_budget
   in
@@ -1332,42 +1280,37 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
       ~mode:(Search { strategy; cutoff; emit; replay_path; fp })
       ~fault_budget ~deadline ~step_base ~sched_seen ~sched_lock ~ctr
   in
-  let t0 = Obs.Trace.now_us () in
-  let r =
-    timed_check "refinement.check" (fun () ->
-        let ctr = fresh_counters () in
-        match domains with
-        | None ->
-          verdict ctr [| run ~ctr ~step_base:0 ~cutoff:max_int ~emit:None ~replay_path:[] |]
-        | Some n ->
-          (* Phase 1: sequential split.  Everything above [split_depth] is
-             explored (and counted) here; each subtree root at the cutoff
-             becomes a work item, in DFS order. *)
-          let items_rev = ref [] in
-          (match
-             run ~ctr ~step_base:0 ~cutoff:split_depth
-               ~emit:(Some (fun path -> items_rev := path :: !items_rev))
-               ~replay_path:[]
-           with
-          | I_budget ->
-            (* The split phase itself blew the budget; items would only
-               re-spend it. *)
-            Budget_exhausted (snapshot ctr)
-          | split ->
-            let items = Array.of_list (List.rev !items_rev) in
-            Obs.Metrics.inc ~by:(Array.length items) Mx.work_items;
-            let step_base = ctr.c_steps in
-            let results =
-              run_pool ~domains:n ~into:ctr (Array.length items) (fun ctr i ->
-                  run ~ctr ~step_base ~cutoff:max_int ~emit:None ~replay_path:items.(i))
-            in
-            (* every emitted item precedes the splitting phase's own
-               outcome in sequential DFS order (emission stops at its
-               raise) *)
-            verdict ctr (Array.append results [| split |])))
-  in
-  Obs.Metrics.add (Explore.strategy_us strategy) (Obs.Trace.now_us () -. t0);
-  r
+  timed_check "refinement.check" (fun () ->
+    let ctr = fresh_counters () in
+    match domains with
+    | None ->
+      verdict ctr [| run ~ctr ~step_base:0 ~cutoff:max_int ~emit:None ~replay_path:[] |]
+    | Some n ->
+      (* Phase 1: sequential split.  Everything above [split_depth] is
+         explored (and counted) here; each subtree root at the cutoff
+         becomes a work item, in DFS order. *)
+      let items_rev = ref [] in
+      (match
+         run ~ctr ~step_base:0 ~cutoff:split_depth
+           ~emit:(Some (fun path -> items_rev := path :: !items_rev))
+           ~replay_path:[]
+       with
+      | I_budget ->
+        (* The split phase itself blew the budget; items would only
+           re-spend it. *)
+        Budget_exhausted (snapshot ctr)
+      | split ->
+        let items = Array.of_list (List.rev !items_rev) in
+        Obs.Metrics.inc ~by:(Array.length items) Mx.work_items;
+        let step_base = ctr.c_steps in
+        let results =
+          run_pool ~domains:n ~into:ctr (Array.length items) (fun ctr i ->
+              run ~ctr ~step_base ~cutoff:max_int ~emit:None ~replay_path:items.(i))
+        in
+        (* every emitted item precedes the splitting phase's own
+           outcome in sequential DFS order (emission stops at its
+           raise) *)
+        verdict ctr (Array.append results [| split |])))
 
 let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix
     cfg =
@@ -1397,7 +1340,6 @@ let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?ke
    failure; in parallel, each walk has its own budget and all run, so the
    result is the same at every domain count. *)
 let check_random_walks ~schedules ~first ~last ~seed ~crash_prob ?domains cfg =
-  Obs.Metrics.inc Mx.checks;
   (match domains with
   | Some n when n < 1 -> invalid_arg "Refinement.check_random: domains must be >= 1"
   | _ -> ());

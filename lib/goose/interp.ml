@@ -101,29 +101,12 @@ exception Goose_error of string
 
 let failf fmt = Fmt.kstr (fun s -> raise (Goose_error s)) fmt
 
-(* Observability: executed heap steps, function calls and FFI dispatches.
-   Counters are bumped as the atomic actions actually run, so under the
-   exhaustive checker they count steps across all explored paths. *)
-module Mx = struct
-  open Obs.Metrics
-
-  let allocs = counter "perennial_goose_allocs_total"
-  let loads = counter "perennial_goose_loads_total"
-  let stores = counter "perennial_goose_stores_total"
-  let calls = counter "perennial_goose_func_calls_total"
-  let ffi pkg = counter ~labels:[ ("pkg", pkg) ] "perennial_goose_ffi_calls_total"
-  let ffi_disk = ffi "disk"
-  let ffi_twodisk = ffi "twodisk"
-  let ffi_filesys = ffi "filesys"
-end
-
 (* ------------------------------------------------------------------ *)
 (* Heap access as atomic steps                                          *)
 (* ------------------------------------------------------------------ *)
 
 let alloc cell : (world, G.t) P.t =
   P.det "alloc" (fun w ->
-      Obs.Metrics.inc Mx.allocs;
       let r = w.next_ref in
       let heap = IMap.add r { content = cell; being_written = false } w.heap in
       ({ w with heap; next_ref = r + 1 }, G.VRef r))
@@ -137,7 +120,6 @@ let read_cell r : (world, G.cell) P.t =
       | Some { being_written = true; _ } ->
         P.Ub (Printf.sprintf "racy load of reference %d during a store (§6.1)" r)
       | Some { content; _ } ->
-        Obs.Metrics.inc Mx.loads;
         P.Steps [ (w, content) ])
 
 (** Store: in race-detection mode this is two atomic steps with a marked
@@ -163,7 +145,6 @@ let write_cell cfg r (f : G.cell -> (G.cell, string) result) : (world, unit) P.t
         | Some { content; being_written = true } -> (
           match f content with
           | Ok content ->
-            Obs.Metrics.inc Mx.stores;
             P.Steps
               [ ({ w with heap = IMap.add r { content; being_written = false } w.heap }, ()) ]
           | Error e -> P.Ub e)
@@ -178,7 +159,6 @@ let write_cell cfg r (f : G.cell -> (G.cell, string) result) : (world, unit) P.t
         | Some { content; _ } -> (
           match f content with
           | Ok content ->
-            Obs.Metrics.inc Mx.stores;
             P.Steps
               [ ({ w with heap = IMap.add r { content; being_written = false } w.heap }, ()) ]
           | Error e -> P.Ub e))
@@ -512,7 +492,6 @@ and eval_call it env path args : (world, G.t) P.t =
   | _ -> failf "unknown package function %s" (String.concat "." path)
 
 and disk_call fn vs : (world, G.t) P.t =
-  Obs.Metrics.inc Mx.ffi_disk;
   match fn, vs with
   | "Read", [ G.VInt a ] ->
     let* b =
@@ -550,7 +529,6 @@ and disk_call fn vs : (world, G.t) P.t =
   | _ -> failf "unknown disk.%s/%d" fn (List.length vs)
 
 and twodisk_call fn vs : (world, G.t) P.t =
-  Obs.Metrics.inc Mx.ffi_twodisk;
   let get w = w.tdisk in
   let set w tdisk = { w with tdisk } in
   let disk_of = function
@@ -585,7 +563,6 @@ and twodisk_call fn vs : (world, G.t) P.t =
   | _ -> failf "unknown twodisk.%s/%d" fn (List.length vs)
 
 and filesys_call fn vs : (world, G.t) P.t =
-  Obs.Metrics.inc Mx.ffi_filesys;
   let str = as_string and int = as_int in
   match fn, vs with
   | "Create", [ d; n ] ->
@@ -634,7 +611,6 @@ and filesys_call fn vs : (world, G.t) P.t =
   | _ -> failf "unknown filesys.%s/%d" fn (List.length vs)
 
 and call_func it (f : Ast.func_decl) (vs : G.t list) : (world, G.t) P.t =
-  Obs.Metrics.inc Mx.calls;
   if List.length vs <> List.length f.Ast.params then
     failf "%s expects %d arguments" f.Ast.fname (List.length f.Ast.params);
   let env =

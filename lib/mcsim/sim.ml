@@ -50,21 +50,6 @@ type outcome = {
 
 exception Sim_stuck of string
 
-(* Observability: totals across simulation runs, on the default registry. *)
-module Mx = struct
-  open Obs.Metrics
-
-  let runs = counter "perennial_mcsim_runs_total"
-  let events = counter "perennial_mcsim_events_total"
-  let requests = counter "perennial_mcsim_requests_total"
-  let gc_slices = counter "perennial_mcsim_gc_slices_total"
-  let serial_waits = counter "perennial_mcsim_serial_waits_total"
-  let lock_waits = counter "perennial_mcsim_lock_waits_total"
-  let latency = histogram "perennial_mcsim_request_latency_us"
-  let serial_wait_us = histogram ~labels:[ ("resource", "serial") ] "perennial_mcsim_wait_us"
-  let lock_wait_us = histogram ~labels:[ ("resource", "lock") ] "perennial_mcsim_wait_us"
-end
-
 (* Nearest-rank percentile over an unsorted sample; [p] in [0, 100]. *)
 let percentile xs p =
   let n = Array.length xs in
@@ -86,8 +71,6 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
   in
   let req_start = Array.make (max n 1) 0. in
   let latencies = Array.make (max n 1) 0. in
-  (* time a core entered a resource wait queue, for the wait histograms *)
-  let wait_since = Array.make cores 0. in
   let events : int Heap.t = Heap.create () in
   let serials : (string, resource) Hashtbl.t = Hashtbl.create 8 in
   let locks : (int, resource) Hashtbl.t = Hashtbl.create 64 in
@@ -100,11 +83,7 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
       r
   in
   let makespan = ref 0. in
-  let budget0 = 200_000_000 + (n * 64) in
-  let budget = ref budget0 in
-  let n_gc = ref 0 in
-  let n_serial_waits = ref 0 in
-  let n_lock_waits = ref 0 in
+  let budget = ref (200_000_000 + (n * 64)) in
   let observe t = if t > !makespan then makespan := t in
   (* Process core [c] at time [t] until it blocks or schedules a future
      event. *)
@@ -132,7 +111,6 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
     | A (Cpu d) :: rest ->
       if st.cpu_since_gc +. d >= gc_quantum then begin
         st.cpu_since_gc <- 0.;
-        incr n_gc;
         st.pending <- A (Serial ("gc", gc_slice)) :: rest
       end
       else begin
@@ -142,11 +120,7 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
       Heap.push events (t +. d) c
     | A (Serial (name, d)) :: rest ->
       let r = get serials name in
-      if r.busy then begin
-        incr n_serial_waits;
-        wait_since.(c) <- t;
-        r.queue <- r.queue @ [ c ] (* retried when woken *)
-      end
+      if r.busy then r.queue <- r.queue @ [ c ] (* retried when woken *)
       else begin
         r.busy <- true;
         st.pending <- Release_serial name :: rest;
@@ -160,16 +134,11 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
       | waiter :: others ->
         r.queue <- others;
         r.busy <- false;
-        Obs.Metrics.observe Mx.serial_wait_us (t -. wait_since.(waiter));
         Heap.push events t waiter);
       step t c
     | A (Lock l) :: rest ->
       let r = get locks l in
-      if r.busy then begin
-        incr n_lock_waits;
-        wait_since.(c) <- t;
-        r.queue <- r.queue @ [ c ]
-      end
+      if r.busy then r.queue <- r.queue @ [ c ]
       else begin
         r.busy <- true;
         st.pending <- rest;
@@ -183,7 +152,6 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
       | waiter :: others ->
         r.queue <- others;
         r.busy <- false;
-        Obs.Metrics.observe Mx.lock_wait_us (t -. wait_since.(waiter));
         Heap.push events t waiter);
       step t c
   in
@@ -199,18 +167,11 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
       drain ()
   in
   drain ();
-  Obs.Metrics.inc Mx.runs;
-  Obs.Metrics.inc ~by:(budget0 - !budget) Mx.events;
-  Obs.Metrics.inc ~by:n Mx.requests;
-  Obs.Metrics.inc ~by:!n_gc Mx.gc_slices;
-  Obs.Metrics.inc ~by:!n_serial_waits Mx.serial_waits;
-  Obs.Metrics.inc ~by:!n_lock_waits Mx.lock_waits;
   let per_core_completed = Array.map (fun s -> s.completed) states in
   let total = Array.fold_left ( + ) 0 per_core_completed in
   if total <> n then
     raise (Sim_stuck (Printf.sprintf "only %d of %d requests completed (deadlock?)" total n));
   let latencies_us = Array.sub latencies 0 n in
-  Array.iter (fun l -> Obs.Metrics.observe Mx.latency l) latencies_us;
   { makespan_us = !makespan; per_core_completed; total; latencies_us }
 
 (** Requests per second given an outcome. *)

@@ -29,10 +29,8 @@ exception Sim_stuck of string
 val run :
   ?gc_quantum:float -> ?gc_slice:float -> cores:int -> action list array -> outcome
 (** Execute all requests (shared queue, closed loop per core).  Raises
-    {!Sim_stuck} on deadlock or a runaway event budget.  Request latencies
-    and serial/lock wait times are observed into the
-    [perennial_mcsim_request_latency_us] and [perennial_mcsim_wait_us]
-    histograms. *)
+    {!Sim_stuck} on deadlock or a runaway event budget.  Each request's
+    latency is in the outcome's [latencies_us]. *)
 
 val throughput : outcome -> float
 (** Requests per second. *)

@@ -19,12 +19,11 @@ type event = {
 type sink =
   | Null
   | Memory
-  | Jsonl of out_channel
   | Chrome of out_channel
 
 let current : sink ref = ref Null
 let on = ref false
-let buffer : event list ref = ref [] (* newest first; Memory and Chrome *)
+let buffer : event list ref = ref [] (* newest first *)
 let buffered = ref 0
 let limit = ref 200_000
 let n_dropped = ref 0
@@ -81,7 +80,7 @@ let chrome_json events =
 (* Sink management                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* One mutex guards the buffer, the jsonl channel and the span stacks:
+(* One mutex guards the buffer and the span stacks:
    tracing from parallel exploration domains must not corrupt them.  The
    [!on] fast path stays lock-free. *)
 let lock = Mutex.create ()
@@ -101,10 +100,7 @@ let emit e =
   with_lock (fun () ->
       match !current with
       | Null -> ()
-      | Memory | Chrome _ -> push e
-      | Jsonl oc ->
-        output_string oc (Json.to_string (event_json e));
-        output_char oc '\n')
+      | Memory | Chrome _ -> push e)
 
 let reset_state () =
   buffer := [];
@@ -115,9 +111,6 @@ let close () =
   (match !current with
   | Null -> ()
   | Memory -> ()
-  | Jsonl oc ->
-    flush oc;
-    close_out oc
   | Chrome oc ->
     output_string oc (Json.to_string (chrome_json (List.rev !buffer)));
     output_char oc '\n';
@@ -132,7 +125,6 @@ let install s =
   on := s <> Null
 
 let install_memory () = install Memory
-let open_jsonl path = install (Jsonl (open_out path))
 let open_chrome path = install (Chrome (open_out path))
 let memory_events () = with_lock (fun () -> List.rev !buffer)
 

@@ -6,7 +6,6 @@
     checkers' hot paths permanently.  Install a sink to capture:
 
     - {!Memory}: events accumulate in a buffer ({!memory_events});
-    - Jsonl ({!open_jsonl}): one JSON object per line, streamed;
     - Chrome ({!open_chrome}): the Chrome [trace_event] format — load the
       file in [chrome://tracing] or [ui.perfetto.dev] to see a failing
       interleaving or a checker run on a timeline. *)
@@ -36,7 +35,6 @@ val enabled : unit -> bool
     construction is not free. *)
 
 val install_memory : unit -> unit
-val open_jsonl : string -> unit
 val open_chrome : string -> unit
 
 val close : unit -> unit

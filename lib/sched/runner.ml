@@ -16,16 +16,6 @@ type 'w outcome = {
   injected : (int * Fault.kind) list;
 }
 
-(* Observability: scheduler-level counters on the default registry. *)
-module Mx = struct
-  open Obs.Metrics
-
-  let runs = counter "perennial_sched_runs_total"
-  let steps = counter "perennial_sched_steps_total"
-  let switches = counter "perennial_sched_context_switches_total"
-  let injected = counter "perennial_sched_faults_injected_total"
-end
-
 exception Undefined_behaviour of string
 exception Deadlock of string
 
@@ -49,7 +39,6 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
      step if the step declares [kind]. *)
   let site = ref 0 in
   let injected = ref [] in
-  Obs.Metrics.inc Mx.runs;
   let rng = match policy with Random seed -> Some (Random.State.make [| seed |]) | Round_robin | Fixed _ -> None
   in
   let fixed = ref (match policy with Fixed l -> l | Round_robin | Random _ -> []) in
@@ -59,27 +48,14 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
      [commit idx] applies outcome [idx] and resumes the continuation.  The
      closure keeps the step's existential payload type from escaping. *)
   (* Marks are free: consume every pending span annotation on thread [i]
-     (emitting begin/end events and per-layer latency observations) before
-     looking at its next real step. *)
-  let span_cats = Array.make n [] in
+     (emitting begin/end events) before looking at its next real step. *)
   let rec consume_marks i =
     match states.(i) with
     | Running (Prog.Mark (m, p)) ->
-      (match m with
-      | Prog.Enter { sm_name; sm_cat } ->
-        span_cats.(i) <- sm_cat :: span_cats.(i);
-        if Obs.Trace.enabled () then Obs.Trace.span_begin ~cat:sm_cat ~tid:i sm_name
-      | Prog.Exit ->
-        let cat = match span_cats.(i) with [] -> "" | c :: rest -> span_cats.(i) <- rest; c in
-        if Obs.Trace.enabled () then
-          match Obs.Trace.span_end ~tid:i () with
-          | None -> ()
-          | Some dur ->
-            Obs.Metrics.observe
-              (Obs.Metrics.histogram
-                 ~labels:[ ("layer", (if cat = "" then "unknown" else cat)) ]
-                 "perennial_span_us")
-              dur);
+      (if Obs.Trace.enabled () then
+         match m with
+         | Prog.Enter { sm_name; sm_cat } -> Obs.Trace.span_begin ~cat:sm_cat ~tid:i sm_name
+         | Prog.Exit -> ignore (Obs.Trace.span_end ~tid:i ()));
       states.(i) <- Running p;
       consume_marks i
     | Running _ | Finished _ -> ()
@@ -199,9 +175,6 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
         loop ())
   in
   loop ();
-  Obs.Metrics.inc ~by:!steps Mx.steps;
-  Obs.Metrics.inc ~by:!switches Mx.switches;
-  Obs.Metrics.inc ~by:(List.length !injected) Mx.injected;
   let results =
     Array.map (function Finished v -> v | Running _ -> assert false) states
   in

@@ -422,38 +422,29 @@ let test_metrics_hammer () =
   let reg = Obs.Metrics.create () in
   let n_dom = 4 and per = 20_000 in
   let doms =
-    List.init n_dom (fun d ->
+    List.init n_dom (fun _ ->
         Domain.spawn (fun () ->
             (* resolve through the registry inside the domain: exercises
                concurrent resolve as well as concurrent increments *)
             let c = Obs.Metrics.counter ~registry:reg "hammer_total" in
-            let g = Obs.Metrics.gauge ~registry:reg "hammer_hwm" in
-            let h =
-              Obs.Metrics.histogram ~registry:reg ~buckets:[ 10.; 100. ] "hammer_obs"
-            in
+            let g = Obs.Metrics.gauge ~registry:reg "hammer_sum" in
             for i = 1 to per do
               Obs.Metrics.inc c;
-              Obs.Metrics.record_max g (float_of_int ((d * per) + i));
-              Obs.Metrics.observe h (float_of_int (i mod 150))
+              Obs.Metrics.add g (float_of_int (i mod 150))
             done))
   in
   List.iter Domain.join doms;
   let c = Obs.Metrics.counter ~registry:reg "hammer_total" in
-  let g = Obs.Metrics.gauge ~registry:reg "hammer_hwm" in
-  let h = Obs.Metrics.histogram ~registry:reg ~buckets:[ 10.; 100. ] "hammer_obs" in
+  let g = Obs.Metrics.gauge ~registry:reg "hammer_sum" in
   Alcotest.(check int) "counter total exact" (n_dom * per) (Obs.Metrics.counter_value c);
-  Alcotest.(check (float 0.)) "gauge max exact"
-    (float_of_int (n_dom * per))
-    (Obs.Metrics.gauge_value g);
-  Alcotest.(check int) "histogram count exact" (n_dom * per) (Obs.Metrics.hist_count h);
   let expect_sum = ref 0. in
   for i = 1 to per do
     expect_sum := !expect_sum +. float_of_int (i mod 150)
   done;
   Alcotest.(check (float 0.))
-    "histogram sum exact (integer-valued observations)"
+    "gauge sum exact (integer-valued additions)"
     (!expect_sum *. float_of_int n_dom)
-    (Obs.Metrics.hist_sum h)
+    (Obs.Metrics.gauge_value g)
 
 let test_coverage_hammer () =
   let was = Obs.Coverage.enabled () in
