@@ -16,8 +16,6 @@ let strategy_of_string s =
   | "dpor+sleep" | "dpor_sleep" | "sleep" -> Some Dpor_sleep
   | _ -> None
 
-let pp_strategy ppf s = Fmt.string ppf (strategy_name s)
-
 (* ------------------------------------------------------------------ *)
 (* Step infos, nodes, race detection                                    *)
 (* ------------------------------------------------------------------ *)

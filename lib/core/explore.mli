@@ -33,7 +33,6 @@ val strategy_name : strategy -> string
 (** ["naive"], ["dpor"], ["dpor+sleep"] — the [--strategy] spellings. *)
 
 val strategy_of_string : string -> strategy option
-val pp_strategy : strategy Fmt.t
 
 (** {2 DPOR machinery}
 

@@ -32,33 +32,31 @@ val read : get_disk:('w -> t) -> int -> ('w, Tslang.Value.t) Sched.Prog.t
 val write :
   get_disk:('w -> t) -> set_disk:('w -> t -> 'w) -> int -> Block.t -> ('w, unit) Sched.Prog.t
 
-(** {1 Fallible operations}
+(** {1 Disk primitives as a value}
 
-    Same semantics as {!read}/{!write} plus declared fault points
-    ({!Sched.Fault}); the infallible ops remain as-is, so systems that
-    ignore faults keep their exact state spaces.  Success returns the raw
-    value ([Str] block or [Unit]); a transient fault returns
-    {!Sched.Fault.eio} — callers test with {!Sched.Fault.is_eio}.  A failed
-    write persists nothing; a {!Sched.Fault.Torn_write}[ k] on
-    {!write_multi_f} persists exactly the first [k] entries. *)
+    A storage protocol is written once over an [ops] record and runs
+    infallible or fallible depending on which record its caller passes.
+    The fallible ops declare fault points ({!Sched.Fault}).  Success
+    returns the raw value ([Str] block or [Unit]); a transient fault
+    returns {!Sched.Fault.eio}, which callers test with
+    {!Sched.Fault.is_eio}.  A failed write persists nothing. *)
 
-val read_f : get_disk:('w -> t) -> int -> ('w, Tslang.Value.t) Sched.Prog.t
-(** Fault points: [Read_error] (state unchanged). *)
+type 'w ops = {
+  fallible : bool;  (** which record this is; layers above name their spans by it *)
+  get_disk : 'w -> t;  (** the lens, for steps that stay plain in both modes *)
+  read : int -> ('w, Tslang.Value.t) Sched.Prog.t;
+  write : int -> Block.t -> ('w, Tslang.Value.t) Sched.Prog.t;
+  write_multi : (int * Block.t) list -> ('w, Tslang.Value.t) Sched.Prog.t;
+}
 
-val write_f :
-  get_disk:('w -> t) ->
-  set_disk:('w -> t -> 'w) ->
-  int ->
-  Block.t ->
-  ('w, Tslang.Value.t) Sched.Prog.t
-(** Fault points: [Write_error] (nothing persisted). *)
+val plain : get_disk:('w -> t) -> set_disk:('w -> t -> 'w) -> 'w ops
+(** {!read} and {!write}, returning [Unit] from a write.  [write_multi]
+    is the sequence of single writes, in list order. *)
 
-val write_multi_f :
-  get_disk:('w -> t) ->
-  set_disk:('w -> t -> 'w) ->
-  (int * Block.t) list ->
-  ('w, Tslang.Value.t) Sched.Prog.t
-(** One atomic step writing all entries.  Fault points: [Write_error]
-    (nothing persisted) and [Torn_write k] for every proper prefix length
-    [1 <= k < n] (first [k] entries persisted).  Crash-equivalent to the
-    same blocks written as a sequence of single writes. *)
+val fallible : get_disk:('w -> t) -> set_disk:('w -> t -> 'w) -> 'w ops
+(** Labels [disk_read_f(a)] and [disk_write_f(a)] with fault points
+    [Read_error] and [Write_error] (state unchanged).  [write_multi] is
+    ONE atomic step [disk_write_multi(a1,...)] with fault points
+    [Write_error] (nothing persisted) and [Torn_write k] for every proper
+    prefix length [1 <= k < n] (first [k] entries persisted):
+    crash-equivalent to the plain sequence of single writes. *)

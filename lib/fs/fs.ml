@@ -369,73 +369,54 @@ let cache_step label (ino, tail) =
     label
     (fun w -> { w with cache = cache_set w.cache ino tail })
 
-let commit p txn =
-  if txn = [] then P.return ()
-  else Txn.commit_prog ~backend:p.backend ~get_disk ~set_disk (Layout.journal p.lay) txn
+let plain = Disk.Single_disk.plain ~get_disk ~set_disk
+let fallible = Disk.Single_disk.fallible ~get_disk ~set_disk
 
-let finish p label plan =
+let commit d ?retries p txn =
+  if txn = [] then P.return V.unit
+  else Txn.commit d ~backend:p.backend ?retries (Layout.journal p.lay) txn
+
+(* Commit [plan]'s transaction over the disk ops [d], then install its
+   cache update and unlock.  On an aborted commit (fallible ops only)
+   unlock and degrade to {!Sched.Fault.err_value}. *)
+let finish d ?retries p label plan =
   match plan with
   | No_space msg -> P.ub msg
   | Plan { txn; cache; ret } ->
-    let* () = commit p txn in
-    let* () =
-      match cache with
-      | None -> P.return ()
-      | Some c -> cache_step ("fs_cache(" ^ label ^ ")") c
-    in
-    let* () = unlock () in
-    P.return ret
+    let* r = commit d ?retries p txn in
+    if Fault.is_eio r then
+      let* () = unlock () in
+      P.return Fault.err_value
+    else
+      let* () =
+        match cache with
+        | None -> P.return ()
+        | Some c -> cache_step ("fs_cache(" ^ label ^ ")") c
+      in
+      let* () = unlock () in
+      P.return ret
 
 let run_op p label decide : (world, V.t) P.t =
   P.span ~cat:"fs" label
   @@ let* () = lock () in
   let* plan = P.read ~fp:(decide_fp p) label decide in
-  finish p label plan
-
-let retry_step what : ('w, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
+  finish plain p label plan
 
 (** Graceful-degradation wrapper: the allocator's bitmap read goes through
     the fallible disk op with bounded retry, and the transaction commits
-    through {!Journal.Txn_log.commit_ft_prog} (abort before the commit
-    record, unbounded retry after it).  Degrades to
+    through {!Journal.Txn_log.commit} over the fallible ops (abort before
+    the commit record, unbounded retry after it).  Degrades to
     {!Sched.Fault.err_value} with durable state untouched. *)
 let run_op_ft p ?(retries = 1) label decide : (world, V.t) P.t =
   P.span ~cat:"fs" label
   @@ let* () = lock () in
-  let rec attempt n =
-    let* r = Disk.Single_disk.read_f ~get_disk (Layout.bitmap_addr p.lay) in
-    if Fault.is_eio r then
-      if n > 0 then
-        let* () = retry_step "fs_alloc" in
-        attempt (n - 1)
-      else P.return false
-    else P.return true
-  in
-  let* ok = attempt retries in
-  if not ok then
+  let* r = Sched.Retry.bounded "fs_alloc" retries (fallible.read (Layout.bitmap_addr p.lay)) in
+  if Fault.is_eio r then
     let* () = unlock () in
     P.return Fault.err_value
   else
     let* plan = P.read ~fp:(decide_fp p) label decide in
-    match plan with
-    | No_space msg -> P.ub msg
-    | Plan { txn; cache; ret } ->
-      let* r =
-        if txn = [] then P.return V.unit
-        else Txn.commit_ft_prog ~backend:p.backend ~get_disk ~set_disk ~retries (Layout.journal p.lay) txn
-      in
-      if Fault.is_eio r then
-        let* () = unlock () in
-        P.return Fault.err_value
-      else
-        let* () =
-          match cache with
-          | None -> P.return ()
-          | Some c -> cache_step ("fs_cache(" ^ label ^ ")") c
-        in
-        let* () = unlock () in
-        P.return ret
+    finish fallible ~retries p label plan
 
 let mkdir_prog p name = run_op p (Printf.sprintf "fs_mkdir(%s)" name) (decide_mkdir p name)
 
@@ -577,21 +558,6 @@ let spec p ~dirs ~files : Gfs.Fs.t Spec.t =
             | Some st' ->
               let* () = T.puts st' in
               T.ret (V.bool true))
-        | "fs_rename_nr", [ V.Str sd; V.Str sn; V.Str dd; V.Str dn ] ->
-          let* st = T.reads in
-          if
-            not (Dirent.valid_name dn)
-            || (not (Gfs.Fs.has_dir st sd))
-            || not (Gfs.Fs.has_dir st dd)
-          then T.ret (V.bool false)
-          else if Gfs.Fs.lookup st sd sn = None then T.ret (V.bool false)
-          else if Gfs.Fs.lookup st dd dn <> None then T.ret (V.bool false)
-          else (
-            match Gfs.Fs.rename st ~src:(sd, sn) ~dst:(dd, dn) with
-            | None -> T.ret (V.bool false)
-            | Some st' ->
-              let* () = T.puts st' in
-              T.ret (V.bool true))
         | "fs_fsync", [ V.Str d; V.Str n ] ->
           let* st = T.reads in
           if not (Gfs.Fs.has_dir st d) then T.ret (V.bool false)
@@ -687,10 +653,6 @@ let rename_call p ~src:(sd, sn) ~dst:(dd, dn) =
   ( Spec.call "fs_rename" [ V.str sd; V.str sn; V.str dd; V.str dn ],
     rename_prog p ~src:(sd, sn) ~dst:(dd, dn) )
 
-let rename_nr_call p ~src:(sd, sn) ~dst:(dd, dn) =
-  ( Spec.call "fs_rename_nr" [ V.str sd; V.str sn; V.str dd; V.str dn ],
-    rename_nr_prog p ~src:(sd, sn) ~dst:(dd, dn) )
-
 let fsync_call p dir name = (Spec.call "fs_fsync" [ V.str dir; V.str name ], fsync_prog p dir name)
 
 let create_ft_call ?retries p dir name =
@@ -741,7 +703,7 @@ module Buggy = struct
       let* () =
         P.seq (List.map (fun (a, b) -> Disk.Single_disk.write ~get_disk ~set_disk a b) bm)
       in
-      let* () = commit p rest in
+      let* _ = commit plain p rest in
       let* () =
         match cache with
         | None -> P.return ()
@@ -787,13 +749,13 @@ module Buggy = struct
               [ plan1; decide_rename p ~replace:true ~src:(sd, sn) ~dst:(dd, dn) w1 ]))
     in
     let rec commit_all = function
-      | [] -> finish p label ret_false
-      | [ last ] -> finish p label last
+      | [] -> finish plain p label ret_false
+      | [ last ] -> finish plain p label last
       | plan :: rest -> (
         match plan with
         | No_space msg -> P.ub msg
         | Plan { txn; cache; _ } ->
-          let* () = commit p txn in
+          let* _ = commit plain p txn in
           let* () =
             match cache with
             | None -> P.return ()

@@ -20,7 +20,7 @@
     locked state and computes a whole transaction (a canonical
     [(address, block) list]: freed blocks zeroed, per-address
     deduplicated, sorted), commit it through
-    {!Journal.Txn_log.commit_prog}, release the lock.  The journal makes
+    {!Journal.Txn_log.commit}, release the lock.  The journal makes
     the transaction all-or-nothing across crashes and recovery replays a
     committed-but-unapplied one, so every operation is crash-atomic —
     which is exactly the [Gfs.Fs] spec's step granularity.  Allocation
@@ -124,8 +124,8 @@ val fsync_prog : params -> string -> string -> (world, Tslang.Value.t) Sched.Pro
 val create_ft_prog : ?retries:int -> params -> string -> string -> (world, Tslang.Value.t) Sched.Prog.t
 (** Graceful degradation: the allocator's bitmap read goes through the
     fallible disk op with bounded retry (default 1), and the transaction
-    commits through {!Journal.Txn_log.commit_ft_prog} (abort before the
-    commit record, unbounded retry after).  Degrades to
+    commits through {!Journal.Txn_log.commit} over the fallible disk ops
+    (abort before the commit record, unbounded retry after).  Degrades to
     {!Sched.Fault.err_value} with durable state untouched. *)
 
 val append_ft_prog :
@@ -140,7 +140,7 @@ val spec :
   params -> dirs:string list -> files:(string * string * string) list -> Gfs.Fs.t Tslang.Spec.t
 (** The atomic {!Gfs.Fs} transition system over ops
     [fs_mkdir]/[fs_create]/[fs_append]/[fs_read]/[fs_readdir]/
-    [fs_unlink]/[fs_rename]/[fs_rename_nr]/[fs_fsync] plus
+    [fs_unlink]/[fs_rename]/[fs_fsync] plus
     graceful-degradation arms [fs_create_ft]/[fs_append_ft]
     (effect-or-{!Sched.Fault.err_value}).  The crash transition is
     {!Gfs.Fs.crash}: truncate to synced prefixes, drop unsynced
@@ -159,12 +159,6 @@ val readdir_call : params -> string -> Tslang.Spec.call * (world, Tslang.Value.t
 val unlink_call : params -> string -> string -> Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t
 
 val rename_call :
-  params ->
-  src:string * string ->
-  dst:string * string ->
-  Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t
-
-val rename_nr_call :
   params ->
   src:string * string ->
   dst:string * string ->

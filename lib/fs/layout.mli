@@ -11,7 +11,7 @@
 
     Beyond the data region lie the journal's commit record and log slots
     — the file system never addresses those directly; every mutation goes
-    through {!Journal.Txn_log.commit_prog}.
+    through {!Journal.Txn_log.commit}.
 
     Inode 0 is the root directory: its entries name the directories, whose
     own entries name the files — the same two-level namespace as the

@@ -197,9 +197,6 @@ let fsync fs fd =
     Some { fs with synced = IMap.add ino len fs.synced }
   | None -> None
 
-(** Number of durable bytes of an inode — exposed for tests. *)
-let synced_length fs ino = match IMap.find_opt ino fs.synced with Some n -> n | None -> 0
-
 (** [read_at fs fd off len]: up to [len] bytes from offset [off]. *)
 let read_at fs fd off len =
   match fd_of fs fd with

@@ -64,9 +64,6 @@ val append : t -> int -> string -> t option
 val fsync : t -> int -> t option
 (** Make the descriptor's inode contents durable; a no-op under [`Sync]. *)
 
-val synced_length : t -> int -> int
-(** Durable bytes of an inode — exposed for tests. *)
-
 val read_at : t -> int -> int -> int -> string option
 (** [read_at fs fd off len]: up to [len] bytes from [off]; reads observe
     buffered (unsynced) data, like a page cache. *)

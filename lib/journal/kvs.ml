@@ -207,21 +207,37 @@ let buffered_value k buffer =
     (fun acc (k', b) -> if k' = k then Some b else acc)
     None (List.concat buffer)
 
-(** Commit the whole buffer plus [extra] as ONE journal transaction.
-    Caller holds every key lock and the commit lock. *)
-let commit_pending_prog p (extra : txn list) : (world, unit) P.t =
+let plain = Disk.Single_disk.plain ~get_disk ~set_disk
+let fallible = Disk.Single_disk.fallible ~get_disk ~set_disk
+
+(** Commit the whole buffer plus [extra] as ONE journal transaction over
+    the disk ops [d].  Caller holds every key lock and the commit lock.
+    On a clean abort (fallible ops only) the buffer is left alone — the
+    acknowledged puts stay pending, so observable state is untouched, as
+    the [_ft] spec arms demand. *)
+let commit_pending d ?retries p (extra : txn list) : (world, V.t) P.t =
   let* mv = P.read ~fp:(Sched.Footprint.const (Sched.Footprint.reads [ Sched.Footprint.cell "buffer" ])) "buffer_merge" (fun w -> value_of_entries (merge (w.buffer @ extra))) in
   match entries_of_value mv with
-  | [] -> P.return ()
+  | [] -> P.return V.unit
   | entries ->
-    let* () = Txn_log.commit_prog ~backend:p.backend ~get_disk ~set_disk (layout p) entries in
-    P.write ~fp:(Sched.Footprint.const (Sched.Footprint.writes [ Sched.Footprint.cell "buffer" ])) "buffer_clear" (fun w -> { w with buffer = [] })
+    let* r = Txn_log.commit d ~backend:p.backend ?retries (layout p) entries in
+    if Sched.Fault.is_eio r then P.return r
+    else
+      let* () = P.write ~fp:(Sched.Footprint.const (Sched.Footprint.writes [ Sched.Footprint.cell "buffer" ])) "buffer_clear" (fun w -> { w with buffer = [] }) in
+      P.return V.unit
+
+let commit_locked d ?retries p extra : (world, V.t) P.t =
+  let* () = lock_all p in
+  let* r = commit_pending d ?retries p extra in
+  let* () = unlock_all p in
+  P.return r
 
 (** Read key [k] under its key lock alone: a committing transaction holds
     the key locks of its whole footprint from log-append to record-clear,
-    so the data block can never be observed mid-apply. *)
-let get_prog p k : (world, V.t) P.t =
-  ignore p;
+    so the data block can never be observed mid-apply.  A fallible read
+    retries boundedly and degrades to {!Sched.Fault.err_value}; buffered
+    values never touch the disk, so that path cannot fail. *)
+let get (d : world Disk.Single_disk.ops) ?(retries = 1) k : (world, V.t) P.t =
   let* () = lock k in
   let* buf =
     P.read ~fp:(Sched.Footprint.const (Sched.Footprint.reads [ Sched.Footprint.cell "buffer" ])) "buffer_find" (fun w ->
@@ -229,9 +245,13 @@ let get_prog p k : (world, V.t) P.t =
         | Some b -> V.some (Block.to_value b)
         | None -> V.none)
   in
-  let* v = match V.get_opt buf with Some v -> P.return v | None -> disk_read k in
+  let* v =
+    match V.get_opt buf with Some v -> P.return v | None -> Sched.Retry.bounded "get" retries (d.read k)
+  in
   let* () = unlock k in
   P.return v
+
+let get_prog (_ : params) k = get plain k
 
 (** The coarser get the proof outline ({!Kvs_proof}) covers exactly: key
     lock then commit lock, so the pinned commit record rules out the
@@ -250,17 +270,8 @@ let get_sync_prog p k : (world, V.t) P.t =
   let* () = unlock k in
   P.return v
 
-let put_prog p k v : (world, V.t) P.t =
-  let* () = lock_all p in
-  let* () = commit_pending_prog p [ [ (k, Block.of_value v) ] ] in
-  let* () = unlock_all p in
-  P.return V.unit
-
-let txn_prog p (entries : txn) : (world, V.t) P.t =
-  let* () = lock_all p in
-  let* () = commit_pending_prog p [ entries ] in
-  let* () = unlock_all p in
-  P.return V.unit
+let put_prog p k v = commit_locked plain p [ [ (k, Block.of_value v) ] ]
+let txn_prog p (entries : txn) = commit_locked plain p [ entries ]
 
 (** Acknowledge a put after ONE volatile buffer append — the group-commit
     fast path, and the whole reason the spec's crash transition must drop
@@ -274,72 +285,7 @@ let put_async_prog p k v : (world, V.t) P.t =
   let* () = unlock (commit_lock p) in
   P.return V.unit
 
-let flush_prog p : (world, V.t) P.t =
-  let* () = lock_all p in
-  let* () = commit_pending_prog p [] in
-  let* () = unlock_all p in
-  P.return V.unit
-
-(* ------------------------------------------------------------------ *)
-(* Fault-tolerant operations                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Commit the buffer plus [extra] through the fault-tolerant journal
-    protocol ({!Txn_log.commit_ft_prog}).  On a clean abort the buffer is
-    left alone — the acknowledged puts stay pending, so observable state
-    is untouched, as the [_ft] spec arms demand. *)
-let commit_pending_ft_prog ?retries p (extra : txn list) : (world, V.t) P.t =
-  let* mv = P.read ~fp:(Sched.Footprint.const (Sched.Footprint.reads [ Sched.Footprint.cell "buffer" ])) "buffer_merge" (fun w -> value_of_entries (merge (w.buffer @ extra))) in
-  match entries_of_value mv with
-  | [] -> P.return V.unit
-  | entries ->
-    let* r = Txn_log.commit_ft_prog ~backend:p.backend ~get_disk ~set_disk ?retries (layout p) entries in
-    if Sched.Fault.is_eio r then P.return r
-    else
-      let* () = P.write ~fp:(Sched.Footprint.const (Sched.Footprint.writes [ Sched.Footprint.cell "buffer" ])) "buffer_clear" (fun w -> { w with buffer = [] }) in
-      P.return V.unit
-
-(** Like {!get_prog}, through the fallible disk read with bounded retry;
-    degrades to {!Sched.Fault.err_value} when the retries are exhausted.
-    Buffered values never touch the disk, so that path cannot fail. *)
-let get_ft_prog ?(retries = 1) p k : (world, V.t) P.t =
-  ignore p;
-  let* () = lock k in
-  let* buf =
-    P.read ~fp:(Sched.Footprint.const (Sched.Footprint.reads [ Sched.Footprint.cell "buffer" ])) "buffer_find" (fun w ->
-        match buffered_value k w.buffer with
-        | Some b -> V.some (Block.to_value b)
-        | None -> V.none)
-  in
-  let* v =
-    match V.get_opt buf with
-    | Some v -> P.return v
-    | None ->
-      let rec attempt n =
-        let* r = Disk.Single_disk.read_f ~get_disk k in
-        if Sched.Fault.is_eio r then
-          if n > 0 then
-            let* () = P.read ~fp:(Sched.Footprint.const Sched.Footprint.pure) "retry(get)" (fun _ -> ()) in
-            attempt (n - 1)
-          else P.return Sched.Fault.err_value
-        else P.return r
-      in
-      attempt retries
-  in
-  let* () = unlock k in
-  P.return v
-
-let put_ft_prog ?retries p k v : (world, V.t) P.t =
-  let* () = lock_all p in
-  let* r = commit_pending_ft_prog ?retries p [ [ (k, Block.of_value v) ] ] in
-  let* () = unlock_all p in
-  P.return r
-
-let txn_ft_prog ?retries p (entries : txn) : (world, V.t) P.t =
-  let* () = lock_all p in
-  let* r = commit_pending_ft_prog ?retries p [ entries ] in
-  let* () = unlock_all p in
-  P.return r
+let flush_prog p = commit_locked plain p []
 
 (** Recovery is the journal's: replay a committed-but-unapplied transaction
     (helping), clear the record.  The buffer died with the crash. *)
@@ -356,11 +302,13 @@ let txn_call p entries = (Spec.call "kv_txn" [ value_of_entries entries ], txn_p
 let put_async_call p k v = (Spec.call "kv_put_async" [ V.int k; v ], put_async_prog p k v)
 let flush_call p = (Spec.call "kv_flush" [], flush_prog p)
 
-let get_ft_call ?retries p k = (Spec.call "kv_get_ft" [ V.int k ], get_ft_prog ?retries p k)
-let put_ft_call ?retries p k v = (Spec.call "kv_put_ft" [ V.int k; v ], put_ft_prog ?retries p k v)
+let get_ft_call ?retries (_ : params) k = (Spec.call "kv_get_ft" [ V.int k ], get fallible ?retries k)
+
+let put_ft_call ?retries p k v =
+  (Spec.call "kv_put_ft" [ V.int k; v ], commit_locked fallible ?retries p [ [ (k, Block.of_value v) ] ])
 
 let txn_ft_call ?retries p entries =
-  (Spec.call "kv_txn_ft" [ value_of_entries entries ], txn_ft_prog ?retries p entries)
+  (Spec.call "kv_txn_ft" [ value_of_entries entries ], commit_locked fallible ?retries p [ entries ])
 
 (** Post-crash probes: read back every key. *)
 let probe p = List.init p.n_keys (fun k -> get_call p k)

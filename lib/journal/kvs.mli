@@ -102,13 +102,6 @@ val put_async_prog : params -> int -> Tslang.Value.t -> (world, Tslang.Value.t) 
 
 val flush_prog : params -> (world, Tslang.Value.t) Sched.Prog.t
 
-val get_ft_prog : ?retries:int -> params -> int -> (world, Tslang.Value.t) Sched.Prog.t
-(** Like {!get_prog} through the fallible disk read with bounded retry;
-    degrades to {!Sched.Fault.err_value} when the retries are exhausted. *)
-
-val put_ft_prog : ?retries:int -> params -> int -> Tslang.Value.t -> (world, Tslang.Value.t) Sched.Prog.t
-val txn_ft_prog : ?retries:int -> params -> txn -> (world, Tslang.Value.t) Sched.Prog.t
-
 val recover : params -> (world, Tslang.Value.t) Sched.Prog.t
 (** The journal's recovery: replay a committed-but-unapplied transaction
     (helping), clear the record.  The buffer died with the crash. *)
@@ -130,6 +123,11 @@ val flush_call : params -> Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog
 
 val get_ft_call :
   ?retries:int -> params -> int -> Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t
+(** The [_ft] calls run the same programs as the plain ones over the
+    fallible disk ops: a get retries its disk read at most [retries]
+    times (default 1) and degrades to {!Sched.Fault.err_value}; a put or
+    txn commits through {!Txn_log.commit}, and on a clean abort leaves
+    the buffer pending. *)
 
 val put_ft_call :
   ?retries:int ->

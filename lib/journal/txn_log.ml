@@ -21,10 +21,10 @@
     - blocks [n_data+1 ..]:       [max_slots] log slots, 2 blocks each:
                                   entry address, then entry value
 
-    The commit and recovery programs are lens-parameterized over the world
-    (like {!Disk.Single_disk.read}) so that larger systems — the
-    transactional key-value store in {!Kvs} — can embed a journal in their
-    own world.  A standalone single-lock journal system with its own spec,
+    The commit program is written once over a host world's disk ops
+    (plain or fallible) and recovery over its disk lens, so that larger
+    systems — the transactional key-value store in {!Kvs} — can embed a
+    journal in their own world.  A standalone single-lock journal system with its own spec,
     checker configuration and seeded-bug variants lives below. *)
 
 module V = Tslang.Value
@@ -62,123 +62,86 @@ let entries_of_value v =
     (V.get_list v)
 
 (* ------------------------------------------------------------------ *)
-(* The commit and recovery protocols, over any world with a disk lens   *)
+(* The commit and recovery protocols, over any world's disk ops          *)
 (* ------------------------------------------------------------------ *)
 
 open P.Syntax
 
-(** Atomically install [entries].  The caller must hold whatever locks
-    protect the log region and the touched data blocks.  Durable once the
-    commit-record write (the single atomic commit point) has hit the
-    disk. *)
-let commit_direct_prog ~get_disk ~set_disk ly entries : ('w, unit) P.t =
-  let dw a b = Disk.Single_disk.write ~get_disk ~set_disk a b in
-  if List.length entries > ly.max_slots then P.ub "journal transaction overflows the log"
-  else if entries = [] then P.return ()
-  else
-    P.span ~cat:"txn_log" "txn_commit"
-    @@
-    let rec log i = function
-      | [] -> P.return ()
-      | (a, b) :: rest ->
-        let* () = dw (slot_addr ly i) (int_block a) in
-        let* () = dw (slot_val ly i) b in
-        log (i + 1) rest
-    in
-    let rec apply = function
-      | [] -> P.return ()
-      | (a, b) :: rest ->
-        let* () = dw a b in
-        apply rest
-    in
-    let* () = log 0 entries in
-    (* the commit point: one atomic write of the entry count *)
-    let* () = dw (rec_addr ly) (int_block (List.length entries)) in
-    let* () = apply entries in
-    dw (rec_addr ly) (int_block 0)
-
-(* ------------------------------------------------------------------ *)
-(* Fault-tolerant commit: bounded retry before the commit point,        *)
-(* unbounded retry after it                                             *)
-(* ------------------------------------------------------------------ *)
-
 module Fault = Sched.Fault
-module Fp = Sched.Footprint
+module Retry = Sched.Retry
+module C = Perennial_wal.Circ
 
-(* A retry iteration is marked by a pure no-op step whose label starts with
-   "retry" — the convention the checker's [retries_observed] stat counts.
-   It only exists on paths where a transient error already fired. *)
-let retry_step what : ('w, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
+type backend = [ `Direct | `Wal ]
 
-(** Like {!commit_prog}, over the fallible disk ops.  Returns [V.unit] on
-    success or {!Sched.Fault.err_value} on a clean abort.
+(** The WAL backend reuses the direct layout's blocks verbatim: the commit
+    record becomes the ring header, the [max_slots] log slots the ring
+    slots.  [Block.zero] parses as the empty ring, so a fresh disk works
+    under either backend — but the two protocols store different header
+    encodings, so a disk must be driven by one backend per lifetime. *)
+let circ ly = C.layout ~base:ly.n_data ~cap:ly.max_slots
 
-    The commit-record write is the dividing line.  Before it, a transient
-    error is retried at most [retries] times and then the transaction is
-    ABORTED: the record still reads 0, so whatever made it into the log
-    slots is unobservable and durable state is untouched — the spec's
-    error arm.  After it, the transaction is committed and must not be
-    abandoned: apply and record-clear writes retry WITHOUT bound (each
-    iteration exists only under one more injected fault, so exhaustive
-    exploration under a finite fault budget still terminates).
+(* The three writes that frame a commit under one backend: the log, the
+   commit point, and the clear that retires the transaction once it is
+   applied.  Both backends log through the ring's record write — the
+   direct log slots [0 ..] are ring positions [0 ..].  [`Direct] then
+   counts the entries into the commit record.  [`Wal] logs past the
+   ring's [end], installs the header (bumping the durable txn count) and
+   then trims the ring empty again, so consecutive commits never run out
+   of ring space; it reads the header first, with a plain read in either
+   mode. *)
+type 'w frame = { log : ('w, V.t) P.t; commit_point : ('w, V.t) P.t; clear : ('w, V.t) P.t }
 
-    The log slots are installed with ONE {!Disk.Single_disk.write_multi_f},
-    so a [Torn_write] fault can tear them; the retry re-writes every slot,
-    which is idempotent pre-commit. *)
-let commit_ft_direct_prog ~get_disk ~set_disk ?(retries = 1) ly entries : ('w, V.t) P.t =
-  let dwm es = Disk.Single_disk.write_multi_f ~get_disk ~set_disk es in
-  let dwf a b = Disk.Single_disk.write_f ~get_disk ~set_disk a b in
+let frame (d : 'w Disk.Single_disk.ops) backend ly entries : ('w, 'w frame) P.t =
+  let k = List.length entries and c = circ ly in
+  match backend with
+  | `Direct ->
+    P.return
+      {
+        log = C.write_records d c ~pos:0 entries;
+        commit_point = d.write (rec_addr ly) (int_block k);
+        clear = d.write (rec_addr ly) (int_block 0);
+      }
+  | `Wal ->
+    let+ s, e, t = C.read_header ~get_disk:d.get_disk c in
+    {
+      log = C.write_records d c ~pos:e entries;
+      commit_point = C.install_header d c ~start:s ~end_:(e + k) ~txns:(t + 1);
+      clear = C.install_header d c ~start:(e + k) ~end_:(e + k) ~txns:(t + 1);
+    }
+
+(** Atomically install [entries]: log, commit point, apply, clear.  The
+    caller must hold whatever locks protect the log region and the
+    touched data blocks.  Durable once the commit point (the single
+    atomic commit-record write, or the ring header install) has hit the
+    disk.
+
+    The commit point is also the dividing line for transient errors,
+    which only the fallible ops return.  Before it, a failed write is
+    retried at most [retries] times and then the transaction is ABORTED
+    with {!Sched.Fault.err_value}: the record still reads 0 (the header
+    still excludes the new records), so whatever reached the log is
+    unobservable and durable state is untouched — the spec's error arm.
+    After it, the transaction is committed and must not be abandoned:
+    apply and clear writes retry without bound.  The log is ONE fallible
+    multi-block write, so a [Torn_write] can tear it; the retry re-writes
+    every slot, which is idempotent before the commit point. *)
+let commit (d : 'w Disk.Single_disk.ops) ?(backend = `Direct) ?(retries = 1) ly entries :
+    ('w, V.t) P.t =
   if List.length entries > ly.max_slots then P.ub "journal transaction overflows the log"
   else if entries = [] then P.return V.unit
   else
-    P.span ~cat:"txn_log" "txn_commit_ft"
-    @@
-    let slot_blocks =
-      List.concat
-        (List.mapi
-           (fun i (a, b) -> [ (slot_addr ly i, int_block a); (slot_val ly i, b) ])
-           entries)
-    in
-    let bounded what n write =
-      let rec attempt n =
-        let* r = write () in
-        if Fault.is_eio r then
-          if n > 0 then
-            let* () = retry_step what in
-            attempt (n - 1)
-          else P.return false
-        else P.return true
-      in
-      attempt n
-    in
-    let unbounded what write =
-      let rec attempt () =
-        let* r = write () in
-        if Fault.is_eio r then
-          let* () = retry_step what in
-          attempt ()
-        else P.return ()
-      in
-      attempt ()
-    in
-    let rec apply = function
-      | [] -> P.return ()
-      | (a, b) :: rest ->
-        let* () = unbounded "apply" (fun () -> dwf a b) in
-        apply rest
-    in
-    let* logged = bounded "log" retries (fun () -> dwm slot_blocks) in
-    if not logged then P.return Fault.err_value
+    P.span ~cat:"txn_log"
+      ((if d.fallible then "txn_commit_ft" else "txn_commit")
+      ^ match backend with `Direct -> "" | `Wal -> "_wal")
+    @@ let* f = frame d backend ly entries in
+    let* r = Retry.bounded "log" retries f.log in
+    if Fault.is_eio r then P.return r
     else
-      let* committed =
-        bounded "record" retries (fun () ->
-            dwf (rec_addr ly) (int_block (List.length entries)))
-      in
-      if not committed then P.return Fault.err_value
+      let* r = Retry.bounded "record" retries f.commit_point in
+      if Fault.is_eio r then P.return r
       else
-        let* () = apply entries in
-        let* () = unbounded "clear" (fun () -> dwf (rec_addr ly) (int_block 0)) in
+        let* () = P.seq (List.map (fun (a, b) -> Retry.unbounded "apply" (d.write a b)) entries) in
+        let* () = Retry.unbounded "clear" f.clear in
         P.return V.unit
 
 (** Replay a committed-but-unapplied transaction, if any, then clear the
@@ -203,107 +166,6 @@ let recover_direct_prog ~get_disk ~set_disk ly : ('w, V.t) P.t =
     let* () = dw (rec_addr ly) (int_block 0) in
     P.return V.unit
 
-(* ------------------------------------------------------------------ *)
-(* The WAL backend: the same log region driven as a circular log        *)
-(* ------------------------------------------------------------------ *)
-
-module C = Perennial_wal.Circ
-
-(** The WAL backend reuses the direct layout's blocks verbatim: the commit
-    record becomes the ring header, the [max_slots] log slots the ring
-    slots.  [Block.zero] parses as the empty ring, so a fresh disk works
-    under either backend — but the two protocols store different header
-    encodings, so a disk must be driven by one backend per lifetime. *)
-let circ ly = C.layout ~base:ly.n_data ~cap:ly.max_slots
-
-(** Commit through the circular log: records past [end], then ONE atomic
-    header install (the commit point, bumping the durable txn count), then
-    apply home and trim.  The ring is drained synchronously — empty again
-    before the commit returns — so consecutive commits never run out of
-    ring space. *)
-let commit_wal_prog ~get_disk ~set_disk ly entries : ('w, unit) P.t =
-  let c = circ ly in
-  let dw a b = Disk.Single_disk.write ~get_disk ~set_disk a b in
-  if List.length entries > ly.max_slots then P.ub "journal transaction overflows the log"
-  else if entries = [] then P.return ()
-  else
-    P.span ~cat:"txn_log" "txn_commit_wal"
-    @@
-    let rec apply = function
-      | [] -> P.return ()
-      | (a, b) :: rest ->
-        let* () = dw a b in
-        apply rest
-    in
-    let k = List.length entries in
-    let* s, e, t = C.read_header ~get_disk c in
-    let* () = C.write_records ~get_disk ~set_disk c ~pos:e entries in
-    (* the commit point: one atomic header install *)
-    let* () = C.install_header ~get_disk ~set_disk c ~start:s ~end_:(e + k) ~txns:(t + 1) in
-    let* () = apply entries in
-    C.install_header ~get_disk ~set_disk c ~start:(e + k) ~end_:(e + k) ~txns:(t + 1)
-
-(** Fault-tolerant WAL commit, mirroring {!commit_ft_direct_prog}'s
-    discipline: bounded retry then clean abort before the header install
-    (uninstalled records are dead, so durable state is untouched),
-    unbounded retry after it. *)
-let commit_ft_wal_prog ~get_disk ~set_disk ?(retries = 1) ly entries : ('w, V.t) P.t =
-  let c = circ ly in
-  let dwf a b = Disk.Single_disk.write_f ~get_disk ~set_disk a b in
-  if List.length entries > ly.max_slots then P.ub "journal transaction overflows the log"
-  else if entries = [] then P.return V.unit
-  else
-    P.span ~cat:"txn_log" "txn_commit_ft_wal"
-    @@
-    let bounded what n write =
-      let rec attempt n =
-        let* r = write () in
-        if Fault.is_eio r then
-          if n > 0 then
-            let* () = retry_step what in
-            attempt (n - 1)
-          else P.return false
-        else P.return true
-      in
-      attempt n
-    in
-    let unbounded what write =
-      let rec attempt () =
-        let* r = write () in
-        if Fault.is_eio r then
-          let* () = retry_step what in
-          attempt ()
-        else P.return ()
-      in
-      attempt ()
-    in
-    let rec apply = function
-      | [] -> P.return ()
-      | (a, b) :: rest ->
-        let* () = unbounded "apply" (fun () -> dwf a b) in
-        apply rest
-    in
-    let k = List.length entries in
-    let* s, e, t = C.read_header ~get_disk c in
-    let* logged =
-      bounded "log" retries (fun () -> C.write_records_f ~get_disk ~set_disk c ~pos:e entries)
-    in
-    if not logged then P.return Fault.err_value
-    else
-      let* committed =
-        bounded "record" retries (fun () ->
-            C.install_header_f ~get_disk ~set_disk c ~start:s ~end_:(e + k) ~txns:(t + 1))
-      in
-      if not committed then P.return Fault.err_value
-      else
-        let* () = apply entries in
-        let* () =
-          unbounded "clear" (fun () ->
-              C.install_header_f ~get_disk ~set_disk c ~start:(e + k) ~end_:(e + k)
-                ~txns:(t + 1))
-        in
-        P.return V.unit
-
 (** Replay the live ring home and trim; a no-op when the ring is empty.
     Idempotent, like {!recover_direct_prog}. *)
 let recover_wal_prog ~get_disk ~set_disk ly : ('w, V.t) P.t =
@@ -320,29 +182,8 @@ let recover_wal_prog ~get_disk ~set_disk ly : ('w, V.t) P.t =
         replay (pos + 1)
     in
     let* () = replay s in
-    let* () = C.install_header ~get_disk ~set_disk c ~start:e ~end_:e ~txns:t in
+    let* _ = C.install_header (Disk.Single_disk.plain ~get_disk ~set_disk) c ~start:e ~end_:e ~txns:t in
     P.return V.unit
-
-(* ------------------------------------------------------------------ *)
-(* Backend dispatch                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type backend = [ `Direct | `Wal ]
-
-let pp_backend ppf = function
-  | `Direct -> Fmt.string ppf "direct"
-  | `Wal -> Fmt.string ppf "wal"
-
-let commit_prog ?(backend = `Direct) ~get_disk ~set_disk ly entries : ('w, unit) P.t =
-  match backend with
-  | `Direct -> commit_direct_prog ~get_disk ~set_disk ly entries
-  | `Wal -> commit_wal_prog ~get_disk ~set_disk ly entries
-
-let commit_ft_prog ?(backend = `Direct) ~get_disk ~set_disk ?retries ly entries :
-    ('w, V.t) P.t =
-  match backend with
-  | `Direct -> commit_ft_direct_prog ~get_disk ~set_disk ?retries ly entries
-  | `Wal -> commit_ft_wal_prog ~get_disk ~set_disk ?retries ly entries
 
 let recover_prog ?(backend = `Direct) ~get_disk ~set_disk ly : ('w, V.t) P.t =
   match backend with
@@ -432,44 +273,26 @@ let the_lock = 0
 let lock () = Disk.Locks.acquire ~get:get_locks ~set:set_locks the_lock
 let unlock () = Disk.Locks.release ~get:get_locks ~set:set_locks the_lock
 
-let commit_txn_prog ?backend ly entries : (world, V.t) P.t =
-  let* () = lock () in
-  let* () = commit_prog ?backend ~get_disk ~set_disk ly entries in
-  let* () = unlock () in
-  P.return V.unit
+let plain = Disk.Single_disk.plain ~get_disk ~set_disk
+let fallible = Disk.Single_disk.fallible ~get_disk ~set_disk
 
-let read_prog ly a : (world, V.t) P.t =
-  ignore ly;
+let commit_txn d ?backend ?retries ly entries : (world, V.t) P.t =
   let* () = lock () in
-  let* v = Disk.Single_disk.read ~get_disk a in
-  let* () = unlock () in
-  P.return v
-
-let recover ?backend ly : (world, V.t) P.t = recover_prog ?backend ~get_disk ~set_disk ly
-
-let commit_txn_ft_prog ?backend ?retries ly entries : (world, V.t) P.t =
-  let* () = lock () in
-  let* r = commit_ft_prog ?backend ~get_disk ~set_disk ?retries ly entries in
+  let* r = commit d ?backend ?retries ly entries in
   let* () = unlock () in
   P.return r
 
-(** Read through the fallible op with bounded retry; degrades to
-    {!Sched.Fault.err_value} when the retries are exhausted. *)
-let read_ft_prog ?(retries = 1) ly a : (world, V.t) P.t =
-  ignore ly;
+(* A fallible read retries boundedly and degrades to
+   {!Sched.Fault.err_value} when the retries are exhausted. *)
+let read (d : world Disk.Single_disk.ops) ?(retries = 1) a : (world, V.t) P.t =
   let* () = lock () in
-  let rec attempt n =
-    let* r = Disk.Single_disk.read_f ~get_disk a in
-    if Fault.is_eio r then
-      if n > 0 then
-        let* () = retry_step "read" in
-        attempt (n - 1)
-      else P.return Fault.err_value
-    else P.return r
-  in
-  let* v = attempt retries in
+  let* v = Retry.bounded "read" retries (d.read a) in
   let* () = unlock () in
   P.return v
+
+let commit_txn_prog ?backend ly entries = commit_txn plain ?backend ly entries
+let read_prog (_ : layout) a = read plain a
+let recover ?backend ly : (world, V.t) P.t = recover_prog ?backend ~get_disk ~set_disk ly
 
 (* ------------------------------------------------------------------ *)
 (* Checker configuration                                                *)
@@ -481,9 +304,9 @@ let commit_call ?backend ly entries =
 let read_call ly a = (Spec.call "j_read" [ V.int a ], read_prog ly a)
 
 let commit_ft_call ?backend ?retries ly entries =
-  (Spec.call "j_commit_ft" [ value_of_entries entries ], commit_txn_ft_prog ?backend ?retries ly entries)
+  (Spec.call "j_commit_ft" [ value_of_entries entries ], commit_txn fallible ?backend ?retries ly entries)
 
-let read_ft_call ?retries ly a = (Spec.call "j_read_ft" [ V.int a ], read_ft_prog ?retries ly a)
+let read_ft_call ?retries (_ : layout) a = (Spec.call "j_read_ft" [ V.int a ], read fallible ?retries a)
 
 (** Post-crash probes: read back every data address. *)
 let probe ly = List.init ly.n_data (fun a -> read_call ly a)
@@ -588,7 +411,7 @@ module Buggy = struct
       budget 1 and one crash. *)
   let commit_ft_ignore_torn ~get_disk ~set_disk ly entries : ('w, V.t) P.t =
     let dw a b = Disk.Single_disk.write ~get_disk ~set_disk a b in
-    let dwm es = Disk.Single_disk.write_multi_f ~get_disk ~set_disk es in
+    let dwm = (Disk.Single_disk.fallible ~get_disk ~set_disk).write_multi in
     if entries = [] then P.return V.unit
     else
       let slot_blocks =
@@ -618,7 +441,7 @@ module Buggy = struct
       sees the stale block. *)
   let commit_ft_swallow_apply ~get_disk ~set_disk ly entries : ('w, V.t) P.t =
     let dw a b = Disk.Single_disk.write ~get_disk ~set_disk a b in
-    let dwf a b = Disk.Single_disk.write_f ~get_disk ~set_disk a b in
+    let dwf = (Disk.Single_disk.fallible ~get_disk ~set_disk).write in
     if entries = [] then P.return V.unit
     else
       let rec log i = function
@@ -647,15 +470,6 @@ module Buggy = struct
     let* () = unlock () in
     P.return r
 
-  let commit_txn_ft_swallow_apply ly entries : (world, V.t) P.t =
-    let* () = lock () in
-    let* r = commit_ft_swallow_apply ~get_disk ~set_disk ly entries in
-    let* () = unlock () in
-    P.return r
-
   let commit_ft_call_ignore_torn ly entries =
     (Spec.call "j_commit_ft" [ value_of_entries entries ], commit_txn_ft_ignore_torn ly entries)
-
-  let commit_ft_call_swallow_apply ly entries =
-    (Spec.call "j_commit_ft" [ value_of_entries entries ], commit_txn_ft_swallow_apply ly entries)
 end

@@ -16,8 +16,9 @@
     (recovery helping, §5.4).  Replay is idempotent, so recovery may
     itself crash at any point and re-run (§5.5).
 
-    The commit and recovery programs are lens-parameterized over the world
-    (like {!Disk.Single_disk.read}) so that larger systems — the
+    The commit program is written once over a host world's disk ops
+    ({!Disk.Single_disk.ops}: plain or fallible) and recovery over its
+    disk lens, so that larger systems — the
     transactional key-value store {!Kvs}, the inode file system
     [Perennial_fs.Fs] — can embed a journal in their own world.  A
     standalone single-lock journal system with its own spec, checker
@@ -72,44 +73,36 @@ val entries_of_value : Tslang.Value.t -> (int * Disk.Block.t) list
 
 type backend = [ `Direct | `Wal ]
 
-val pp_backend : backend Fmt.t
-
 val circ : layout -> Perennial_wal.Circ.layout
 (** The ring the [`Wal] backend drives: header at [rec_addr], [max_slots]
     record slots — the direct layout's blocks, verbatim. *)
 
-(** {1 The lens-parameterized protocol}
+(** {1 The protocol over a host world}
 
-    ['w] is the host system's world; [get_disk]/[set_disk] locate the
-    embedded disk.  The caller is responsible for mutual exclusion over
-    the log region (one committer at a time). *)
+    ['w] is the host system's world; the disk ops or
+    [get_disk]/[set_disk] locate the embedded disk.  The caller is
+    responsible for mutual exclusion over the log region (one committer
+    at a time). *)
 
-val commit_prog :
+val commit :
+  'w Disk.Single_disk.ops ->
   ?backend:backend ->
-  get_disk:('w -> Disk.Single_disk.t) ->
-  set_disk:('w -> Disk.Single_disk.t -> 'w) ->
-  layout ->
-  (int * Disk.Block.t) list ->
-  ('w, unit) Sched.Prog.t
-(** Commit one transaction.  The empty transaction commits immediately
-    (no steps); more than [max_slots] entries is undefined behaviour
-    (caller's overflow bug, surfaced as UB not silent truncation). *)
-
-val commit_ft_prog :
-  ?backend:backend ->
-  get_disk:('w -> Disk.Single_disk.t) ->
-  set_disk:('w -> Disk.Single_disk.t -> 'w) ->
   ?retries:int ->
   layout ->
   (int * Disk.Block.t) list ->
   ('w, Tslang.Value.t) Sched.Prog.t
-(** Fault-tolerant commit through the fallible disk writes: before the
-    commit point (the record write, or the [`Wal] header install) every
+(** Commit one transaction over the given disk ops: log, commit point
+    (the record write, or the [`Wal] header install), apply, clear.
+    Returns [V.unit].  The empty transaction commits immediately (no
+    steps); more than [max_slots] entries is undefined behaviour (caller's
+    overflow bug, surfaced as UB not silent truncation).
+
+    Over {!Disk.Single_disk.fallible} ops, before the commit point every
     failed write is retried at most [retries] times (default 1) and then
     the whole transaction ABORTS cleanly, returning
     {!Sched.Fault.err_value}; once the commit point is durable the
-    transaction is committed, so apply/clear retry without bound (recovery
-    would finish the job anyway).  Returns [V.unit] on success. *)
+    transaction is committed, so apply/clear retry without bound
+    (recovery would finish the job anyway). *)
 
 val recover_prog :
   ?backend:backend ->
@@ -150,16 +143,6 @@ val commit_txn_prog :
 val read_prog : layout -> int -> (world, Tslang.Value.t) Sched.Prog.t
 val recover : ?backend:backend -> layout -> (world, Tslang.Value.t) Sched.Prog.t
 
-val commit_txn_ft_prog :
-  ?backend:backend ->
-  ?retries:int ->
-  layout ->
-  (int * Disk.Block.t) list ->
-  (world, Tslang.Value.t) Sched.Prog.t
-
-val read_ft_prog : ?retries:int -> layout -> int -> (world, Tslang.Value.t) Sched.Prog.t
-(** Bounded-retry read; degrades to {!Sched.Fault.err_value}. *)
-
 (** {2 Calls and checker configuration} *)
 
 val commit_call :
@@ -179,6 +162,8 @@ val commit_ft_call :
 
 val read_ft_call :
   ?retries:int -> layout -> int -> Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t
+(** Read through the fallible op with bounded retry; degrades to
+    {!Sched.Fault.err_value}. *)
 
 val probe : layout -> (Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t) list
 (** Post-crash probes: read back every data address. *)
@@ -256,12 +241,6 @@ module Buggy : sig
   val commit_txn_ft_ignore_torn :
     layout -> (int * Disk.Block.t) list -> (world, Tslang.Value.t) Sched.Prog.t
 
-  val commit_txn_ft_swallow_apply :
-    layout -> (int * Disk.Block.t) list -> (world, Tslang.Value.t) Sched.Prog.t
-
   val commit_ft_call_ignore_torn :
-    layout -> (int * Disk.Block.t) list -> Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t
-
-  val commit_ft_call_swallow_apply :
     layout -> (int * Disk.Block.t) list -> Tslang.Spec.call * (world, Tslang.Value.t) Sched.Prog.t
 end

@@ -18,8 +18,6 @@ let enable ?(interval_s = 1.0) ?(out = stderr) () =
   last_execs := 0;
   last_t := now
 
-let disable () = on := false
-
 let line ~executions ~steps ~frontier ~fault_schedule ?deadline_us () =
   let now = Unix.gettimeofday () in
   let dt = now -. !last_t in

@@ -10,7 +10,6 @@ val enable : ?interval_s:float -> ?out:out_channel -> unit -> unit
 (** Turn reporting on. [interval_s] is the minimum gap between printed
     lines (default 1.0s). *)
 
-val disable : unit -> unit
 val enabled : unit -> bool
 
 val tick :

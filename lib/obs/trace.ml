@@ -151,8 +151,6 @@ let reset_spans () =
       Hashtbl.reset stacks;
       next_span_id := 0)
 
-let span_depth ?(tid = 0) () = with_lock (fun () -> List.length (stack_of tid))
-
 (* The stack updates run under the lock but the emits happen outside it
    (the mutex is not reentrant and [emit] locks too). *)
 let span_begin ?(cat = "") ?(tid = 0) ?(args = []) name =

@@ -88,9 +88,6 @@ val span_end : ?tid:int -> unit -> float option
     and return its duration in microseconds ([None] if no span is open
     or tracing is off). *)
 
-val span_depth : ?tid:int -> unit -> int
-(** Number of currently-open spans on [tid]. *)
-
 val reset_spans : unit -> unit
 (** Drop all open span stacks and restart span-id numbering (tests). *)
 

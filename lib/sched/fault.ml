@@ -36,7 +36,6 @@ let equal_kind (a : kind) (b : kind) = a = b
 type io_error = Eio of kind
 
 let io_error_name (Eio k) = Printf.sprintf "EIO(%s)" (kind_name k)
-let pp_io_error ppf e = Format.pp_print_string ppf (io_error_name e)
 
 (* Program results travel between atomic steps as {!Tslang.Value} payloads,
    so fallible operations encode [(v, io_error) result] as values: *)
@@ -55,8 +54,6 @@ let is_eio v =
    as the error arm of their outcome choice.  A [Pair], so it can never
    collide with a block ([Str]) or a unit result. *)
 let err_value = V.pair (V.str "EIO") (V.str "degraded")
-
-let result_value = function Ok v -> v | Error e -> eio e
 
 type injection = { at : int; kind : kind }
 (** Fire fault [kind] at the [at]-th fault-eligible step of the execution

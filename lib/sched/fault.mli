@@ -31,7 +31,6 @@ val equal_kind : kind -> kind -> bool
 type io_error = Eio of kind  (** carries the kind that caused it *)
 
 val io_error_name : io_error -> string
-val pp_io_error : io_error Fmt.t
 
 val eio : io_error -> Tslang.Value.t
 (** Distinguished error payload: fallible operations return either their
@@ -46,8 +45,6 @@ val err_value : Tslang.Value.t
     ("the operation completes atomically OR returns this distinguished
     error with durable state untouched").  Satisfies {!is_eio}; can never
     collide with a block ([Str]) or unit result. *)
-
-val result_value : (Tslang.Value.t, io_error) result -> Tslang.Value.t
 
 type injection = { at : int; kind : kind }
 (** Fire fault [kind] at the [at]-th fault-eligible step of the execution

@@ -90,23 +90,7 @@ let rec strip_marks : type a. ('w, a) t -> ('w, a) t = function
   | Mark (_, p) -> strip_marks p
   | p -> p
 
-let rec marks_of : type a. ('w, a) t -> mark list = function
-  | Mark (m, p) -> m :: marks_of p
-  | _ -> []
-
 let rec label_of : type a. ('w, a) t -> string option = function
   | Done _ -> None
   | Mark (_, p) -> label_of p
   | Atomic { label; _ } -> Some label
-
-let rec footprint_of : type a. 'w -> ('w, a) t -> Footprint.t option =
- fun w -> function
-  | Done _ -> None
-  | Mark (_, p) -> footprint_of w p
-  | Atomic { fp; _ } -> Some (fp w)
-
-let rec fault_kinds_of : type a. 'w -> ('w, a) t -> Fault.kind list =
- fun w -> function
-  | Done _ -> []
-  | Mark (_, p) -> fault_kinds_of w p
-  | Atomic { faults; _ } -> List.map (fun (kd, _, _) -> kd) (faults w)

@@ -108,16 +108,6 @@ val strip_marks : ('w, 'a) t -> ('w, 'a) t
 (** Drop any leading marks, exposing [Done] or [Atomic].  Interpreters
     that do not consume marks must call this before matching. *)
 
-val marks_of : ('w, 'a) t -> mark list
-(** The leading marks of a program, outermost first. *)
-
 val label_of : ('w, 'a) t -> string option
 (** Label of the next step, if the program is not finished. *)
 
-val footprint_of : 'w -> ('w, 'a) t -> Footprint.t option
-(** Footprint of the next step in world [w], if the program is not
-    finished. *)
-
-val fault_kinds_of : 'w -> ('w, 'a) t -> Fault.kind list
-(** Fault kinds the next step declares in world [w]; [[]] if finished or
-    fault-free.  A step with a non-empty list is a fault *site*. *)

@@ -24,18 +24,18 @@
     header writes: the abstract ring state is always the last header to
     hit the disk, and the spec's crash transition is [ret ()].
 
-    Like {!Journal.Txn_log}, the protocol is lens-parameterized over the
-    world so larger systems (the [Wal] layer, the journal's WAL backend)
-    can drive a ring embedded in their own disk.  A standalone single-lock
-    system with its own spec, checker configuration and a seeded bug lives
-    below. *)
+    Like {!Journal.Txn_log}, the protocol is parameterized over the world
+    — reads over its disk lens, writes over its disk ops, plain or
+    fallible ({!Disk.Single_disk.ops}) — so larger systems (the [Wal]
+    layer, the journal's WAL backend) can drive a ring embedded in their
+    own disk.  A standalone single-lock system with its own spec, checker
+    configuration and a seeded bug lives below. *)
 
 module V = Tslang.Value
 module T = Tslang.Transition
 module Spec = Tslang.Spec
 module P = Sched.Prog
 module Block = Disk.Block
-module Fault = Sched.Fault
 
 type layout = { base : int; cap : int }
 
@@ -89,47 +89,27 @@ let read_header ~get_disk ly : ('w, int * int * int) P.t =
   let* v = Disk.Single_disk.read ~get_disk (hdr_addr ly) in
   P.return (parse_header (Block.of_value v))
 
-(** Write [records] into the slots for positions [pos, pos + len).  Dead
-    until a header install advances [end] over them. *)
-let write_records ~get_disk ~set_disk ly ~pos records : ('w, unit) P.t =
-  let dw a b = Disk.Single_disk.write ~get_disk ~set_disk a b in
-  let rec go pos = function
-    | [] -> P.return ()
-    | (a, b) :: rest ->
-      let* () = dw (slot_addr ly pos) (int_block a) in
-      let* () = dw (slot_val ly pos) b in
-      go (pos + 1) rest
-  in
-  go pos records
+(** Write [records] into the slots for positions [pos, pos + len), through
+    [d]'s multi-block write: the plain one writes slot by slot, the
+    fallible one is ONE step a [Torn_write] can tear — harmless before the
+    header install, and idempotent to retry.  Dead until a header install
+    advances [end] over them. *)
+let write_records (d : 'w Disk.Single_disk.ops) ly ~pos records : ('w, V.t) P.t =
+  d.write_multi
+    (List.concat
+       (List.mapi
+          (fun i (a, b) -> [ (slot_addr ly (pos + i), int_block a); (slot_val ly (pos + i), b) ])
+          records))
 
 (** The atomic commit point: one header write. *)
-let install_header ~get_disk ~set_disk ly ~start ~end_ ~txns : ('w, unit) P.t =
-  Disk.Single_disk.write ~get_disk ~set_disk (hdr_addr ly)
-    (header_block ~start ~end_ ~txns)
+let install_header (d : 'w Disk.Single_disk.ops) ly ~start ~end_ ~txns : ('w, V.t) P.t =
+  d.write (hdr_addr ly) (header_block ~start ~end_ ~txns)
 
 let read_record ~get_disk ly pos : ('w, int * Block.t) P.t =
   let dr a = Disk.Single_disk.read ~get_disk a in
   let* a = dr (slot_addr ly pos) in
   let* b = dr (slot_val ly pos) in
   P.return (block_int (Block.of_value a), Block.of_value b)
-
-(* Fallible variants: the record batch is ONE multi-block write (so a
-   [Torn_write] can tear it — harmless pre-header and idempotent to
-   retry), the header install a single fallible write.  Success returns
-   [V.unit]; a transient fault returns {!Sched.Fault.eio}. *)
-
-let write_records_f ~get_disk ~set_disk ly ~pos records : ('w, V.t) P.t =
-  let blocks =
-    List.concat
-      (List.mapi
-         (fun i (a, b) -> [ (slot_addr ly (pos + i), int_block a); (slot_val ly (pos + i), b) ])
-         records)
-  in
-  Disk.Single_disk.write_multi_f ~get_disk ~set_disk blocks
-
-let install_header_f ~get_disk ~set_disk ly ~start ~end_ ~txns : ('w, V.t) P.t =
-  Disk.Single_disk.write_f ~get_disk ~set_disk (hdr_addr ly)
-    (header_block ~start ~end_ ~txns)
 
 (* ------------------------------------------------------------------ *)
 (* Specification: an atomic ring of records                              *)
@@ -216,23 +196,20 @@ let set_locks w locks = { w with locks }
 let the_lock = 0
 let lock () = Disk.Locks.acquire ~get:get_locks ~set:set_locks the_lock
 let unlock () = Disk.Locks.release ~get:get_locks ~set:set_locks the_lock
+let disk = Disk.Single_disk.plain ~get_disk ~set_disk
 
 let append_prog ly records : (world, V.t) P.t =
   let* () = lock () in
   let* s, e, t = read_header ~get_disk ly in
-  let* () = write_records ~get_disk ~set_disk ly ~pos:e records in
-  let* () =
-    install_header ~get_disk ~set_disk ly ~start:s
-      ~end_:(e + List.length records)
-      ~txns:(t + 1)
-  in
+  let* _ = write_records disk ly ~pos:e records in
+  let* _ = install_header disk ly ~start:s ~end_:(e + List.length records) ~txns:(t + 1) in
   let* () = unlock () in
   P.return V.unit
 
 let trim_prog ly n : (world, V.t) P.t =
   let* () = lock () in
   let* _, e, t = read_header ~get_disk ly in
-  let* () = install_header ~get_disk ~set_disk ly ~start:n ~end_:e ~txns:t in
+  let* _ = install_header disk ly ~start:n ~end_:e ~txns:t in
   let* () = unlock () in
   P.return V.unit
 
@@ -273,12 +250,8 @@ module Buggy = struct
   let append_header_first ly records : (world, V.t) P.t =
     let* () = lock () in
     let* s, e, t = read_header ~get_disk ly in
-    let* () =
-      install_header ~get_disk ~set_disk ly ~start:s
-        ~end_:(e + List.length records)
-        ~txns:(t + 1)
-    in
-    let* () = write_records ~get_disk ~set_disk ly ~pos:e records in
+    let* _ = install_header disk ly ~start:s ~end_:(e + List.length records) ~txns:(t + 1) in
+    let* _ = write_records disk ly ~pos:e records in
     let* () = unlock () in
     P.return V.unit
 

@@ -41,50 +41,22 @@ val parse_header : Block.t -> int * int * int
 val value_of_records : (int * Block.t) list -> V.t
 val records_of_value : V.t -> (int * Block.t) list
 
-(** {1 The ring protocol, lens-parameterized over the world} *)
+(** {1 The ring protocol, over the world's disk lens or disk ops} *)
 
 val read_header : get_disk:('w -> Disk.Single_disk.t) -> layout -> ('w, int * int * int) P.t
 
 val write_records :
-  get_disk:('w -> Disk.Single_disk.t) ->
-  set_disk:('w -> Disk.Single_disk.t -> 'w) ->
-  layout ->
-  pos:int ->
-  (int * Block.t) list ->
-  ('w, unit) P.t
-(** Write records into the slots for positions [pos ..]; dead until a
+  'w Disk.Single_disk.ops -> layout -> pos:int -> (int * Block.t) list -> ('w, V.t) P.t
+(** Write records into the slots for positions [pos ..] with ONE
+    [write_multi] of the given disk ops (so a fallible [Torn_write] can
+    tear it — harmless pre-header, idempotent to retry); dead until a
     header install advances [end] over them. *)
 
 val install_header :
-  get_disk:('w -> Disk.Single_disk.t) ->
-  set_disk:('w -> Disk.Single_disk.t -> 'w) ->
-  layout ->
-  start:int ->
-  end_:int ->
-  txns:int ->
-  ('w, unit) P.t
+  'w Disk.Single_disk.ops -> layout -> start:int -> end_:int -> txns:int -> ('w, V.t) P.t
 (** The atomic commit point: one header write. *)
 
 val read_record : get_disk:('w -> Disk.Single_disk.t) -> layout -> int -> ('w, int * Block.t) P.t
-
-val write_records_f :
-  get_disk:('w -> Disk.Single_disk.t) ->
-  set_disk:('w -> Disk.Single_disk.t -> 'w) ->
-  layout ->
-  pos:int ->
-  (int * Block.t) list ->
-  ('w, V.t) P.t
-(** Fallible record batch: ONE {!Disk.Single_disk.write_multi_f}, so a
-    [Torn_write] can tear it — harmless pre-header, idempotent to retry. *)
-
-val install_header_f :
-  get_disk:('w -> Disk.Single_disk.t) ->
-  set_disk:('w -> Disk.Single_disk.t -> 'w) ->
-  layout ->
-  start:int ->
-  end_:int ->
-  txns:int ->
-  ('w, V.t) P.t
 
 (** {1 Standalone single-lock system} *)
 

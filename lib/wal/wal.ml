@@ -34,7 +34,6 @@ module T = Tslang.Transition
 module Spec = Tslang.Spec
 module P = Sched.Prog
 module Block = Disk.Block
-module Fault = Sched.Fault
 module Fp = Sched.Footprint
 
 type params = { n_data : int; cap : int; absorb : bool }
@@ -218,20 +217,10 @@ let unlock () = Disk.Locks.release ~get:get_locks ~set:set_locks the_lock
 let buf_reads = Fp.const (Fp.reads [ Fp.cell "walbuf" ])
 let buf_writes = Fp.const (Fp.writes [ Fp.cell "walbuf" ])
 
+let plain = Disk.Single_disk.plain ~get_disk ~set_disk
+let fallible = Disk.Single_disk.fallible ~get_disk ~set_disk
+
 open P.Syntax
-
-let retry_step what : ('w, unit) P.t =
-  P.read ~fp:(Fp.const Fp.pure) ("retry(" ^ what ^ ")") (fun _ -> ())
-
-let unbounded what write : ('w, unit) P.t =
-  let rec attempt () =
-    let* r = write () in
-    if Fault.is_eio r then
-      let* () = retry_step what in
-      attempt ()
-    else P.return ()
-  in
-  attempt ()
 
 (** Apply the live ring records home and trim — the installer's body.
     Caller holds the WAL lock. *)
@@ -244,14 +233,11 @@ let install_body p : (world, unit) P.t =
       if pos >= e then P.return ()
       else
         let* a, b = Circ.read_record ~get_disk c pos in
-        let* () =
-          unbounded "install" (fun () -> Disk.Single_disk.write_f ~get_disk ~set_disk a b)
-        in
+        let* () = Sched.Retry.unbounded "install" (fallible.write a b) in
         go (pos + 1)
     in
     let* () = go s in
-    unbounded "trim" (fun () ->
-        Circ.install_header_f ~get_disk ~set_disk c ~start:e ~end_:e ~txns:t)
+    Sched.Retry.unbounded "trim" (Circ.install_header fallible c ~start:e ~end_:e ~txns:t)
 
 (** Drain the whole buffer to the ring, batch by batch — the logger's
     body, also run inline by [flush].  Installs inline when the ring is
@@ -271,16 +257,11 @@ let rec drain p : (world, unit) P.t =
     else
       let txns = take k buf in
       let records = batch_records p txns in
-      let* () =
-        unbounded "log" (fun () ->
-            Circ.write_records_f ~get_disk ~set_disk c ~pos:e records)
-      in
+      let* () = Sched.Retry.unbounded "log" (Circ.write_records fallible c ~pos:e records) in
       (* group commit: ONE header install covers all k transactions *)
       let* () =
-        unbounded "header" (fun () ->
-            Circ.install_header_f ~get_disk ~set_disk c ~start:s
-              ~end_:(e + List.length records)
-              ~txns:(t + k))
+        Sched.Retry.unbounded "header"
+          (Circ.install_header fallible c ~start:s ~end_:(e + List.length records) ~txns:(t + k))
       in
       let* () =
         P.write ~fp:buf_writes "wal_buffer_drop" (fun w -> { w with buffer = drop k w.buffer })
@@ -364,10 +345,7 @@ let recover_prog p : (world, V.t) P.t =
       replay (pos + 1)
   in
   let* () = replay s in
-  let* () =
-    if s = e then P.return ()
-    else Circ.install_header ~get_disk ~set_disk c ~start:e ~end_:e ~txns:t
-  in
+  let* _ = if s = e then P.return V.unit else Circ.install_header plain c ~start:e ~end_:e ~txns:t in
   let* () =
     P.write ~fp:buf_writes "wal_vtail_restore" (fun w -> { w with buffer = []; vtail = t })
   in
@@ -410,13 +388,13 @@ module Buggy = struct
     else
       let* s, e, t = Circ.read_header ~get_disk c in
       let records = batch_records p buf in
-      let* () =
+      let* _ =
         (* BUG: commit point installed first *)
-        Circ.install_header ~get_disk ~set_disk c ~start:s
+        Circ.install_header plain c ~start:s
           ~end_:(e + List.length records)
           ~txns:(t + List.length buf)
       in
-      let* () = Circ.write_records ~get_disk ~set_disk c ~pos:e records in
+      let* _ = Circ.write_records plain c ~pos:e records in
       P.write ~fp:buf_writes "wal_buffer_drop" (fun w -> { w with buffer = [] })
 
   let logger_tick_header_first p : (world, V.t) P.t =
@@ -437,9 +415,9 @@ module Buggy = struct
     let* () =
       if s = e then P.return ()
       else
-        let* () =
+        let* _ =
           (* BUG: the ring is abandoned before its records are home *)
-          Circ.install_header ~get_disk ~set_disk c ~start:e ~end_:e ~txns:t
+          Circ.install_header plain c ~start:e ~end_:e ~txns:t
         in
         let rec go pos =
           if pos >= e then P.return ()
@@ -476,9 +454,9 @@ module Buggy = struct
       let records = batch_records p buf in
       (* BUG: "absorbs" against records logged before the barrier *)
       let kept = List.filter (fun (a, _) -> not (ISet.mem a logged_addrs)) records in
-      let* () = Circ.write_records ~get_disk ~set_disk c ~pos:e kept in
-      let* () =
-        Circ.install_header ~get_disk ~set_disk c ~start:s
+      let* _ = Circ.write_records plain c ~pos:e kept in
+      let* _ =
+        Circ.install_header plain c ~start:s
           ~end_:(e + List.length kept)
           ~txns:(t + List.length buf)
       in

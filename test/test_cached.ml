@@ -11,39 +11,27 @@ module Sv = Seplogic.Sval
 module Cb = Systems.Cached_block
 module Cp = Systems.Cached_proof
 
-let expect_holds name cfg =
-  match R.check cfg with
-  | R.Refinement_holds _ -> ()
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats -> Alcotest.failf "%s: budget (%a)" name R.pp_stats stats
-
-let expect_violation name cfg =
-  match R.check cfg with
-  | R.Refinement_violated _ -> ()
-  | R.Refinement_holds stats -> Alcotest.failf "%s: missed (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats -> Alcotest.failf "%s: budget (%a)" name R.pp_stats stats
-
 (* --- refinement --- *)
 
 let test_put_get_crash () = Test_explore.expect Perennial_catalog.Catalog.cached_block
 
 let test_two_writers () =
-  expect_holds "two writers"
+  Verdict.check_holds "two writers"
     (Cb.checker_config ~max_crashes:1
        [ [ Cb.put_call (V.str "a") ]; [ Cb.put_call (V.str "b") ] ])
 
 let test_crash_during_recovery () =
-  expect_holds "crash during recovery"
+  Verdict.check_holds "crash during recovery"
     (Cb.checker_config ~max_crashes:2 [ [ Cb.put_call (V.str "x") ] ])
 
 let test_bug_stale_cache () =
   (* no crash needed: the read-back probe sees the stale cache *)
-  expect_violation "stale cache"
+  Verdict.check_violated "stale cache"
     (Cb.checker_config ~max_crashes:0 [ [ Cb.Buggy.put_call_no_cache_update (V.str "x") ] ])
 
 let test_bug_no_repopulation () =
   (* the probe's cache read after recovery is UB *)
-  expect_violation "recovery skips repopulation"
+  Verdict.check_violated "recovery skips repopulation"
     (R.config ~spec:Cb.spec ~init_world:(Cb.init_world ()) ~crash_world:Cb.crash_world
        ~pp_world:Cb.pp_world
        ~threads:[ [ Cb.put_call (V.str "x") ] ]

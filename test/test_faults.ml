@@ -20,18 +20,6 @@ module Block = Disk.Block
 
 let bv s = Block.to_value (Block.of_string s)
 
-let expect_holds name = function
-  | R.Refinement_holds stats -> stats
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violated name = function
-  | R.Refinement_violated (f, _) -> f
-  | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 (* ------------------------------------------------------------------ *)
 (* Schedule enumeration                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -101,18 +89,18 @@ let test_runner_oracle () =
 (* ------------------------------------------------------------------ *)
 
 let test_rd_ft_holds () =
-  let stats = expect_holds "rd ft read || write, faults 2, 1 crash" (C.run C.rd_ft) in
+  let stats = Verdict.holds "rd ft read || write, faults 2, 1 crash" (C.run C.rd_ft) in
   Alcotest.(check bool) "faults were injected" true (stats.R.faults_injected > 0);
   Alcotest.(check bool) "distinct schedules counted" true (stats.R.fault_schedules > 1);
   Alcotest.(check bool) "retries observed" true (stats.R.retries_observed > 0)
 
 let test_journal_ft_holds () =
-  let stats = expect_holds "journal commit_ft || read_ft, faults 2, 1 crash" (C.run C.journal_ft) in
+  let stats = Verdict.holds "journal commit_ft || read_ft, faults 2, 1 crash" (C.run C.journal_ft) in
   Alcotest.(check bool) "faults were injected" true (stats.R.faults_injected > 0);
   Alcotest.(check bool) "retries observed" true (stats.R.retries_observed > 0)
 
 let test_kvs_ft_holds () =
-  let stats = expect_holds "kvs put_ft + get_ft, faults 2, 1 crash" (C.run C.kvs_ft) in
+  let stats = Verdict.holds "kvs put_ft + get_ft, faults 2, 1 crash" (C.run C.kvs_ft) in
   Alcotest.(check bool) "faults were injected" true (stats.R.faults_injected > 0)
 
 (* The fault branches compose with DPOR: every strategy agrees with naive
@@ -121,7 +109,7 @@ let test_ft_strategies_agree () =
   List.iter
     (fun strategy ->
       ignore
-        (expect_holds
+        (Verdict.holds
            (Printf.sprintf "rd ft under %s" (E.strategy_name strategy))
            (C.run ~strategy C.rd_ft)))
     E.all_strategies
@@ -137,7 +125,7 @@ let caught ?strategy inst =
     C.name inst
     ^ match strategy with None -> "" | Some s -> " under " ^ E.strategy_name s
   in
-  let f = expect_violated name (C.run ?strategy ~faults:1 inst) in
+  let f = Verdict.violated name (C.run ?strategy ~faults:1 inst) in
   Alcotest.(check bool)
     (name ^ ": injected fault visible in lanes")
     true
@@ -202,7 +190,7 @@ let test_max_seconds () =
     Alcotest.fail "expected Budget_exhausted from check_random under max_seconds:0.");
   (* a generous budget changes nothing *)
   ignore
-    (expect_holds "holds under generous max_seconds"
+    (Verdict.holds "holds under generous max_seconds"
        (R.check ~max_seconds:300.
           (RD.checker_config ~size:1 ~max_crashes:0 [ [ RD.read_call 0 ] ])))
 

@@ -26,18 +26,6 @@ module Sp = Perennial_fs.Spool
 module MC = Mailboat.Core
 module SMap = Map.Make (String)
 
-let expect_holds name = function
-  | R.Refinement_holds stats -> stats
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violated name = function
-  | R.Refinement_violated (f, _) -> f
-  | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 let params ?durability ~ni ~nb () = Fs.params ?durability (L.v ~n_inodes:ni ~n_blocks:nb ())
 
 (* ------------------------------------------------------------------ *)
@@ -143,7 +131,7 @@ let test_create_append_all_strategies () =
   let stats =
     List.map
       (fun s ->
-        expect_holds
+        Verdict.holds
           (Printf.sprintf "create+append under %s" (E.strategy_name s))
           (C.run ~strategy:s C.fs_create_append_probed))
       E.all_strategies
@@ -156,13 +144,13 @@ let test_create_append_all_strategies () =
 
 let test_rename_concurrent_read () =
   ignore
-    (expect_holds "rename replaces target under crashes"
+    (Verdict.holds "rename replaces target under crashes"
        (C.run ~strategy:E.Dpor_sleep C.fs_rename_read))
 
 let test_unlink_create_concurrent () =
   let p = params ~ni:5 ~nb:6 () in
   ignore
-    (expect_holds "unlink concurrent with create"
+    (Verdict.holds "unlink concurrent with create"
        (R.check ~strategy:E.Dpor_sleep
           (Fs.checker_config p ~dirs:[ "a" ]
              ~files:[ ("a", "f", "xy") ]
@@ -174,7 +162,7 @@ let test_unlink_create_concurrent () =
 let test_mkdir_readdir () =
   let p = params ~ni:3 ~nb:4 () in
   ignore
-    (expect_holds "mkdir concurrent with readdir of the root"
+    (Verdict.holds "mkdir concurrent with readdir of the root"
        (R.check ~strategy:E.Dpor_sleep
           (Fs.checker_config p ~dirs:[ "a" ] ~files:[] ~max_crashes:1
              [ [ Fs.mkdir_call p "b" ]; [ Fs.readdir_call p "/" ] ])))
@@ -184,7 +172,7 @@ let test_deferred_append_fsync () =
      the synced prefix — exactly the spec's crash transition. *)
   let p = params ~durability:`Deferred ~ni:3 ~nb:4 () in
   ignore
-    (expect_holds "deferred append/fsync under crashes"
+    (Verdict.holds "deferred append/fsync under crashes"
        (R.check ~strategy:E.Dpor_sleep
           (Fs.checker_config p ~dirs:[ "a" ]
              ~files:[ ("a", "f", "") ]
@@ -193,13 +181,13 @@ let test_deferred_append_fsync () =
                [ Fs.read_call p "a" "f" ] ])))
 
 let test_crash_during_recovery () =
-  ignore (expect_holds "append with crash during recovery" (C.run C.fs_append_recovery))
+  ignore (Verdict.holds "append with crash during recovery" (C.run C.fs_append_recovery))
 
 let test_ft_ops_with_faults () =
   (* Graceful degradation: bounded-retry allocator read + commit_ft
      abort-before-record, under a fault budget and a crash. *)
   ignore
-    (expect_holds "ft create/append under faults 1 + crash"
+    (Verdict.holds "ft create/append under faults 1 + crash"
        (C.run ~strategy:E.Dpor_sleep ~faults:1 C.fs_ft))
 
 (* ------------------------------------------------------------------ *)
@@ -209,8 +197,8 @@ let test_ft_ops_with_faults () =
 (* The seeded double-free, after its positive control: the journaled
    unlink under the same post probes. *)
 let test_bug_double_free () =
-  ignore (expect_holds "journaled unlink holds" (C.run C.fs_unlink_probed));
-  let f = expect_violated "allocator double-free caught" (C.run C.fs_double_free) in
+  ignore (Verdict.holds "journaled unlink holds" (C.run C.fs_unlink_probed));
+  let f = Verdict.violated "allocator double-free caught" (C.run C.fs_double_free) in
   Alcotest.(check bool) "counterexample crashes" true
     (List.exists (fun (e : R.event) -> e.ev_kind = R.Crash) f.events)
 
@@ -218,13 +206,13 @@ let test_bug_rename_two_txns () =
   let p = params ~ni:5 ~nb:6 () in
   (* positive control first: the one-transaction rename holds *)
   ignore
-    (expect_holds "one-txn rename holds"
+    (Verdict.holds "one-txn rename holds"
        (R.check
           (Fs.checker_config p ~dirs:[ "a"; "b" ]
              ~files:[ ("a", "s", "xy"); ("b", "t", "uv") ]
              ~max_crashes:1
              [ [ Fs.rename_call p ~src:("a", "s") ~dst:("b", "t") ] ])));
-  let f = expect_violated "two-txn rename caught" (C.run C.fs_rename_two_txns) in
+  let f = Verdict.violated "two-txn rename caught" (C.run C.fs_rename_two_txns) in
   Alcotest.(check bool) "counterexample crashes" true
     (List.exists (fun (e : R.event) -> e.ev_kind = R.Crash) f.events)
 
@@ -256,12 +244,12 @@ let test_spool_deliver_pickup_delete_runs () =
 
 let test_spool_deliver_crash () =
   ignore
-    (expect_holds "spool deliver with crash" (C.run ~strategy:E.Dpor_sleep C.spool_deliver))
+    (Verdict.holds "spool deliver with crash" (C.run ~strategy:E.Dpor_sleep C.spool_deliver))
 
 let test_spool_deliver_pickup_concurrent () =
   let sp = Sp.params ~users:1 () in
   ignore
-    (expect_holds "spool deliver concurrent with pickup"
+    (Verdict.holds "spool deliver concurrent with pickup"
        (R.check ~strategy:E.Dpor_sleep
           (Sp.checker_config sp ~users:1 ~max_crashes:0
              [ [ Sp.deliver_call sp 0 "ab" ];
@@ -273,7 +261,7 @@ let test_spool_delete_session () =
   let st = SMap.add (MC.user_dir 0) (SMap.singleton "m0" "hi") (MC.spec_init ~users:1) in
   let spec = { (MC.spec ~users:1) with Tslang.Spec.init = st } in
   ignore
-    (expect_holds "spool pickup/delete session with crash"
+    (Verdict.holds "spool pickup/delete session with crash"
        (R.check ~strategy:E.Dpor_sleep
           (R.config ~spec ~init_world:w ~crash_world:Fs.crash_world ~pp_world:Fs.pp_world
              ~threads:[ [ Sp.pickup_call sp 0; Sp.delete_call sp 0 "m0"; Sp.unlock_call 0 ] ]
@@ -283,7 +271,7 @@ let test_spool_delete_session () =
 let test_spool_deferred_fsync () =
   let sp = Sp.params ~durability:`Deferred ~users:1 () in
   ignore
-    (expect_holds "deferred spool deliver (with fsync) holds"
+    (Verdict.holds "deferred spool deliver (with fsync) holds"
        (R.check ~strategy:E.Dpor_sleep
           (Sp.checker_config sp ~users:1 ~max_crashes:1 [ [ Sp.deliver_call sp 0 "ab" ] ])))
 
@@ -291,7 +279,7 @@ let test_spool_bug_nofsync () =
   (* The seeded bug: publish the mailbox name without fsyncing the spooled
      bytes; a crash after the rename truncates delivered mail. *)
   let f =
-    expect_violated "missing fsync before directory commit caught"
+    Verdict.violated "missing fsync before directory commit caught"
       (C.run ~strategy:E.Dpor_sleep C.spool_no_fsync)
   in
   Alcotest.(check bool) "counterexample crashes" true
@@ -299,7 +287,7 @@ let test_spool_bug_nofsync () =
   (* the same program is correct under the paper's always-durable model *)
   let sp_sync = Sp.params ~users:1 () in
   ignore
-    (expect_holds "nofsync deliver holds under `Sync"
+    (Verdict.holds "nofsync deliver holds under `Sync"
        (R.check ~strategy:E.Dpor_sleep
           (Sp.checker_config sp_sync ~users:1 ~max_crashes:1
              [ [ Sp.deliver_nofsync_call sp_sync 0 "ab" ] ])))

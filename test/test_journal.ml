@@ -16,19 +16,6 @@ module Block = Disk.Block
 let b = Block.of_string
 let bv s = Block.to_value (b s)
 
-let expect_holds name = function
-  | R.Refinement_holds _ -> ()
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violated name = function
-  | R.Refinement_violated _ -> ()
-  | R.Refinement_holds stats ->
-    Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 (* Run a program for exactly [n] atomic steps — the world as it stood at
    the crash. *)
 let run_steps w prog n =
@@ -106,10 +93,8 @@ let ly2 = J.layout ~n_data:2 ~max_slots:2
 let test_journal_refinement_holds () = Test_explore.expect C.journal_commit_read
 
 let test_journal_crash_during_recovery () =
-  expect_holds "commit, 2 crashes (incl. during recovery)"
-    (R.check
-       (J.checker_config ly2 ~max_crashes:2
-          [ [ J.commit_call ly2 [ (0, b "A"); (1, b "B") ] ] ]))
+  Verdict.check_holds "commit, 2 crashes (incl. during recovery)"
+    (J.checker_config ly2 ~max_crashes:2 [ [ J.commit_call ly2 [ (0, b "A"); (1, b "B") ] ] ])
 
 (* Commit record before the log entries: after a first transaction has
    left stale slot contents, a crash right after the record write makes
@@ -126,14 +111,13 @@ let test_kvs_put_get_holds () = Test_explore.expect C.kvs_put_get
 let test_kvs_txn_crash_during_recovery () = Test_explore.expect C.kvs_txn
 
 let test_kvs_txn_vs_gets_holds () =
-  expect_holds "txn || get (both flavours), no crash"
-    (R.check
-       (K.checker_config p ~max_crashes:0
-          [
-            [ K.txn_call p [ (0, b "A"); (1, b "B") ] ];
-            [ K.get_call p 0 ];
-            [ K.get_sync_call p 1 ];
-          ]))
+  Verdict.check_holds "txn || get (both flavours), no crash"
+    (K.checker_config p ~max_crashes:0
+       [
+         [ K.txn_call p [ (0, b "A"); (1, b "B") ] ];
+         [ K.get_call p 0 ];
+         [ K.get_sync_call p 1 ];
+       ])
 
 let test_kvs_group_commit_holds () = Test_explore.expect C.kvs_async
 
@@ -142,23 +126,22 @@ let test_kvs_group_commit_holds () = Test_explore.expect C.kvs_async
 let test_kvs_strict_spec_rejected () = Test_explore.expect C.kvs_strict_spec
 
 let test_kvs_lossy_spec_accepts_same_instance () =
-  expect_holds "async put vs lossy crash spec"
-    (R.check (K.checker_config p ~max_crashes:1 [ [ K.put_async_call p 0 (bv "A") ] ]))
+  Verdict.check_holds "async put vs lossy crash spec"
+    (K.checker_config p ~max_crashes:1 [ [ K.put_async_call p 0 (bv "A") ] ])
 
 (* --- kvs: seeded bugs --- *)
 
 let test_kvs_get_skip_buffer_caught () = Test_explore.expect C.kvs_skip_buffer
 
 let test_kvs_record_first_caught () =
-  expect_violated "kvs commit record before log entries"
-    (R.check
-       (K.checker_config p ~max_crashes:1
-          [
-            [
-              K.put_call p 0 (bv "A");
-              K.Buggy.txn_record_first p [ (0, b "C"); (1, b "D") ];
-            ];
-          ]))
+  Verdict.check_violated "kvs commit record before log entries"
+    (K.checker_config p ~max_crashes:1
+       [
+         [
+           K.put_call p 0 (bv "A");
+           K.Buggy.txn_record_first p [ (0, b "C"); (1, b "D") ];
+         ];
+       ])
 
 let test_kvs_no_log_caught () = Test_explore.expect C.kvs_txn_no_log
 let test_kvs_recover_nop_caught () = Test_explore.expect C.kvs_recover_nop

@@ -6,27 +6,21 @@ module V = Tslang.Value
 module R = Perennial_core.Refinement
 module L = Systems.Layered
 
-let expect_holds name cfg =
-  match R.check cfg with
-  | R.Refinement_holds _ -> ()
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats -> Alcotest.failf "%s: budget (%a)" name R.pp_stats stats
-
 let vx = V.str "x" and vy = V.str "y"
 
 let test_write_crash_no_failures () =
-  expect_holds "layered write + crash"
+  Verdict.check_holds "layered write + crash"
     (L.checker_config ~may_fail:false ~max_crashes:1 [ [ L.write_call vx vy ] ])
 
 let test_write_crash_with_failures () = Test_explore.expect Perennial_catalog.Catalog.layered
 
 let test_crash_during_composed_recovery () =
   (* a crash inside either stage of the composed recovery must be safe *)
-  expect_holds "crash during composed recovery"
+  Verdict.check_holds "crash during composed recovery"
     (L.checker_config ~may_fail:false ~max_crashes:2 [ [ L.write_call vx vy ] ])
 
 let test_writer_reader () =
-  expect_holds "layered writer/reader"
+  Verdict.check_holds "layered writer/reader"
     (L.checker_config ~may_fail:false ~max_crashes:1
        [ [ L.write_call vx vy ]; [ L.read_call ] ])
 

@@ -7,20 +7,6 @@ module R = Perennial_core.Refinement
 module M = Mailboat.Core
 module SMap = Map.Make (String)
 
-let expect_holds name cfg =
-  match R.check cfg with
-  | R.Refinement_holds _ -> ()
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violation name cfg =
-  match R.check cfg with
-  | R.Refinement_violated _ -> ()
-  | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 (* A world and matching spec state with one message pre-delivered. *)
 let seeded_world_and_state ~users u id msg =
   let w = M.init_world ~users () in
@@ -39,20 +25,20 @@ let test_deliver_crash () = Test_explore.expect Perennial_catalog.Catalog.mailbo
 
 let test_deliver_pickup_concurrent () =
   (* §8.2 Pickup/Deliver: concurrent delivery during a pickup session. *)
-  expect_holds "deliver concurrent with pickup"
+  Verdict.check_holds "deliver concurrent with pickup"
     (M.checker_config ~users:1 ~max_crashes:0
        [ [ M.deliver_call 0 "ab" ]; [ M.pickup_call 0; M.unlock_call 0 ] ])
 
 let test_two_delivers_same_user () =
   (* §8.2 Deliver/Deliver: random IDs with collision retry. *)
-  expect_holds "two delivers same user"
+  Verdict.check_holds "two delivers same user"
     (M.checker_config ~users:1 ~max_crashes:0
        [ [ M.deliver_call 0 "ab" ]; [ M.deliver_call 0 "cd" ] ])
 
 let test_pickup_delete_session () =
   let w, st = seeded_world_and_state ~users:1 0 "m0" "hi" in
   let spec = { (M.spec ~users:1) with Tslang.Spec.init = st } in
-  expect_holds "pickup/delete session"
+  Verdict.check_holds "pickup/delete session"
     (R.config ~spec ~init_world:w ~crash_world:M.crash_world ~pp_world:M.pp_world
        ~threads:
          [ [ M.pickup_call 0; M.delete_call 0 "m0"; M.unlock_call 0 ] ]
@@ -63,7 +49,7 @@ let test_pickup_delete_session () =
 let test_delete_vs_deliver () =
   let w, st = seeded_world_and_state ~users:1 0 "m0" "hi" in
   let spec = { (M.spec ~users:1) with Tslang.Spec.init = st } in
-  expect_holds "delete concurrent with deliver"
+  Verdict.check_holds "delete concurrent with deliver"
     (R.config ~spec ~init_world:w ~crash_world:M.crash_world ~pp_world:M.pp_world
        ~threads:
          [ [ M.pickup_call 0; M.delete_call 0 "m0"; M.unlock_call 0 ];
@@ -73,12 +59,12 @@ let test_delete_vs_deliver () =
        ~max_crashes:0 ())
 
 let test_two_users_isolated () =
-  expect_holds "two users isolated"
+  Verdict.check_holds "two users isolated"
     (M.checker_config ~users:2 ~max_crashes:0
        [ [ M.deliver_call 0 "ab" ]; [ M.deliver_call 1 "cd" ] ])
 
 let test_crash_during_recovery () =
-  expect_holds "crash during recovery"
+  Verdict.check_holds "crash during recovery"
     (M.checker_config ~users:1 ~max_crashes:2 [ [ M.deliver_call 0 "ab" ] ])
 
 (* After a crash, recovery must leave the spool empty (not part of the
@@ -103,7 +89,7 @@ let test_bug_unspooled_deliver () =
 
 let test_bug_unspooled_deliver_concurrent_pickup () =
   (* Even without crashes, a concurrent pickup can read half a message. *)
-  expect_violation "unspooled deliver vs pickup"
+  Verdict.check_violated "unspooled deliver vs pickup"
     (M.checker_config ~users:1 ~max_crashes:0
        [ [ M.Buggy.deliver_call_unspooled 0 "abcd" ];
          [ M.pickup_call 0; M.unlock_call 0 ] ])
@@ -112,7 +98,7 @@ let test_bug_unlocked_pickup () =
   (* Pickup without the user lock races with a delete session. *)
   let w, st = seeded_world_and_state ~users:1 0 "m0" "hi" in
   let spec = { (M.spec ~users:1) with Tslang.Spec.init = st } in
-  expect_violation "unlocked pickup"
+  Verdict.check_violated "unlocked pickup"
     (R.config ~spec ~init_world:w ~crash_world:M.crash_world ~pp_world:M.pp_world
        ~threads:
          [ [ M.pickup_call 0; M.delete_call 0 "m0"; M.unlock_call 0 ];

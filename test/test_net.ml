@@ -28,18 +28,6 @@ module C = Obs.Coverage
 module SK = Dist.Shard_kv
 module Cat = Perennial_catalog.Catalog
 
-let expect_holds name = function
-  | R.Refinement_holds stats -> stats
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violated name = function
-  | R.Refinement_violated (f, _) -> f
-  | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 (* ------------------------------------------------------------------ *)
 (* Channel state model                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -248,7 +236,7 @@ let test_drop_retry_oracle () =
    crash.  Duplicates (adversary Dup or the client's own premature-timeout
    retry) are answered from the reply cache without re-executing. *)
 let test_exactly_once_holds () =
-  let stats = expect_holds "exactly-once inc, net 1, 1 crash" (Cat.run Cat.net_inc) in
+  let stats = Verdict.holds "exactly-once inc, net 1, 1 crash" (Cat.run Cat.net_inc) in
   Alcotest.(check bool) "network events injected" true (stats.R.faults_injected > 0);
   Alcotest.(check bool) "distinct network schedules" true (stats.R.fault_schedules > 1);
   Alcotest.(check bool) "retries observed" true (stats.R.retries_observed > 0);
@@ -260,12 +248,12 @@ let test_strategies_domains_agree () =
   List.iter
     (fun strategy ->
       ignore
-        (expect_holds
+        (Verdict.holds
            (Printf.sprintf "exactly-once inc under %s" (E.strategy_name strategy))
            (Cat.run ~strategy Cat.net_inc));
       let stats_str d =
         Fmt.str "%a" R.pp_stats
-          (expect_holds
+          (Verdict.holds
              (Printf.sprintf "exactly-once inc under %s, %d domains" (E.strategy_name strategy) d)
              (Cat.run ~strategy ~domains:d Cat.net_inc))
       in
@@ -283,7 +271,7 @@ let test_strategies_domains_agree () =
    execution. *)
 let test_contention_holds () =
   let stats =
-    expect_holds "2-client contention, net 1" (Cat.run ~strategy:E.Dpor_sleep Cat.net_contention)
+    Verdict.holds "2-client contention, net 1" (Cat.run ~strategy:E.Dpor_sleep Cat.net_contention)
   in
   Alcotest.(check bool) "duplicates deduplicated" true (stats.R.cache_hits > 0)
 
@@ -293,7 +281,7 @@ let test_contention_holds () =
    never overwritten — the correct twin of seeded bug 2. *)
 let test_retry_storm_holds () =
   let stats =
-    expect_holds "put;put with retries, net 1"
+    Verdict.holds "put;put with retries, net 1"
       (Cat.run ~strategy:E.Dpor_sleep Cat.net_retry_storm)
   in
   Alcotest.(check bool) "retries observed" true (stats.R.retries_observed > 0);
@@ -303,7 +291,7 @@ let test_retry_storm_holds () =
    back tagged, and the idle shard still shuts down cleanly. *)
 let test_cross_shard_holds () =
   let stats =
-    expect_holds "cross-shard put/get, net 1" (Cat.run ~strategy:E.Dpor_sleep Cat.net_cross_shard)
+    Verdict.holds "cross-shard put/get, net 1" (Cat.run ~strategy:E.Dpor_sleep Cat.net_cross_shard)
   in
   Alcotest.(check bool) "duplicates deduplicated" true (stats.R.cache_hits > 0)
 
@@ -314,7 +302,7 @@ let test_lease_fencing_holds () =
   List.iter
     (fun strategy ->
       let stats =
-        expect_holds
+        Verdict.holds
           (Printf.sprintf "fenced lease RMW under %s" (E.strategy_name strategy))
           (Cat.run ~strategy Cat.lease)
       in
@@ -325,12 +313,12 @@ let test_lease_fencing_holds () =
    transaction, so exactly-once survives crashes of the storage stack. *)
 let test_hosted_holds () =
   let stats =
-    expect_holds "hosted shard, net 1, 1 crash" (Cat.run ~strategy:E.Dpor_sleep Cat.net_hosted)
+    Verdict.holds "hosted shard, net 1, 1 crash" (Cat.run ~strategy:E.Dpor_sleep Cat.net_hosted)
   in
   Alcotest.(check bool) "hosted cache hits observed" true (stats.R.cache_hits > 0);
   let p2 = SK.params ~n_keys:2 ~n_shards:2 ~n_clients:1 ~retries:0 ~init_val:(V.str "0") () in
   ignore
-    (expect_holds "hosted 2 shards, net 1, 1 crash"
+    (Verdict.holds "hosted 2 shards, net 1, 1 crash"
        (R.check ~strategy:E.Dpor_sleep
           (SK.Hosted.checker_config p2 ~max_crashes:1 ~fault_budget:1
              [ [ SK.Hosted.nput_call p2 ~client:0 ~seq:0 0 (V.str "A"); SK.Hosted.bye_call ];
@@ -349,7 +337,7 @@ let with_coverage f =
 
 let test_net_coverage_sites () =
   with_coverage (fun () ->
-      ignore (expect_holds "exactly-once inc for coverage" (Cat.run Cat.net_inc));
+      ignore (Verdict.holds "exactly-once inc for coverage" (Cat.run Cat.net_inc));
       let sites = C.sites () in
       List.iter
         (fun site ->
@@ -376,7 +364,7 @@ let assert_in_lanes name needle f =
 (* Bug #1 — reply-cache miss on duplicate: the server executes every
    message it receives, so a [Dup]ed non-idempotent inc executes twice. *)
 let test_bug_no_cache_caught () =
-  let f = expect_violated "no-cache double execution" (Cat.run Cat.net_no_cache) in
+  let f = Verdict.violated "no-cache double execution" (Cat.run Cat.net_no_cache) in
   assert_in_lanes "no-cache double execution" "FAULT" f
 
 (* Bug #2 — retry without a sequence number: the raw retry cannot be
@@ -384,7 +372,7 @@ let test_bug_no_cache_caught () =
    interferes with the client's later operations and the stale write
    wins. *)
 let test_bug_raw_retry_caught () =
-  let f = expect_violated "raw retry stale write" (Cat.run Cat.net_raw_retry) in
+  let f = Verdict.violated "raw retry stale write" (Cat.run Cat.net_raw_retry) in
   assert_in_lanes "raw retry stale write" "FAULT" f;
   assert_in_lanes "raw retry stale write" "retry_rpc" f
 
@@ -392,7 +380,7 @@ let test_bug_raw_retry_caught () =
    newer holder's, losing the newer update.  Needs no network events at
    all — pure interleaving with the expiry step. *)
 let test_bug_no_fence_caught () =
-  let f = expect_violated "zombie write without fence" (Cat.run Cat.net_no_fence) in
+  let f = Verdict.violated "zombie write without fence" (Cat.run Cat.net_no_fence) in
   assert_in_lanes "zombie write without fence" "lease_write" f;
   assert_in_lanes "zombie write without fence" "lease_expire" f
 

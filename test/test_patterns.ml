@@ -10,57 +10,43 @@ module Sc = Systems.Shadow_copy
 module W = Systems.Wal
 module Gc = Systems.Group_commit
 
-let expect_holds name cfg =
-  match R.check cfg with
-  | R.Refinement_holds _ -> ()
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violation name cfg =
-  match R.check cfg with
-  | R.Refinement_violated _ -> ()
-  | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 let vx = V.str "x"
 let vy = V.str "y"
 
 (* --- shadow copy --- *)
 
 let test_shadow_write_crash () =
-  expect_holds "shadow write with crash"
+  Verdict.check_holds "shadow write with crash"
     (Sc.checker_config ~max_crashes:1 [ [ Sc.write_call vx vy ] ])
 
 let test_shadow_two_writers () =
-  expect_holds "shadow two writers"
+  Verdict.check_holds "shadow two writers"
     (Sc.checker_config ~max_crashes:1
        [ [ Sc.write_call vx vy ]; [ Sc.write_call vy vx ] ])
 
 let test_shadow_writer_reader () = Test_explore.expect C.shadow_copy
 
 let test_shadow_seq_writes () =
-  expect_holds "shadow sequential writes"
+  Verdict.check_holds "shadow sequential writes"
     (Sc.checker_config ~max_crashes:1
        [ [ Sc.write_call vx vx; Sc.write_call vy vy ] ])
 
 let test_shadow_bug_in_place () = Test_explore.expect C.shadow_in_place
 
 let test_shadow_bug_flip_first () =
-  expect_violation "shadow flip-before-fill"
+  Verdict.check_violated "shadow flip-before-fill"
     (Sc.checker_config ~max_crashes:1 [ [ Sc.Buggy.write_call_flip_first vx vy ] ])
 
 (* --- write-ahead log --- *)
 
 let test_wal_write_crash () =
-  expect_holds "wal write with crash"
+  Verdict.check_holds "wal write with crash"
     (W.checker_config ~max_crashes:1 [ [ W.write_call vx vy ] ])
 
 let test_wal_crash_during_recovery () = Test_explore.expect C.wal_recovery
 
 let test_wal_writer_reader () =
-  expect_holds "wal writer/reader"
+  Verdict.check_holds "wal writer/reader"
     (W.checker_config ~max_crashes:1 [ [ W.write_call vx vy ]; [ W.read_call ] ])
 
 let test_wal_bug_no_log () = Test_explore.expect C.wal_no_log
@@ -70,7 +56,7 @@ let test_wal_bug_commit_first () = Test_explore.expect C.wal_commit_first
 let test_wal_bug_recover_clear_first () = Test_explore.expect C.wal_clear_first
 
 let test_wal_bug_recover_nop () =
-  expect_violation "wal no recovery"
+  Verdict.check_violated "wal no recovery"
     (Perennial_core.Refinement.config ~spec:W.spec ~init_world:(W.init_world ())
        ~crash_world:W.crash_world ~pp_world:W.pp_world
        ~threads:[ [ W.write_call vx vy ] ]
@@ -81,12 +67,12 @@ let test_wal_bug_recover_nop () =
 let test_gc_write_flush_crash () = Test_explore.expect C.group_commit
 
 let test_gc_concurrent_writers () =
-  expect_holds "group commit concurrent writers"
+  Verdict.check_holds "group commit concurrent writers"
     (Gc.checker_config ~max_crashes:1
        [ [ Gc.write_call vx vx ]; [ Gc.write_call vy vy; Gc.flush_call ] ])
 
 let test_gc_reader () =
-  expect_holds "group commit reader sees buffered"
+  Verdict.check_holds "group commit reader sees buffered"
     (Gc.checker_config ~max_crashes:0 [ [ Gc.write_call vx vy ]; [ Gc.read_call ] ])
 
 let test_gc_strict_spec_rejected () =
@@ -95,7 +81,7 @@ let test_gc_strict_spec_rejected () =
   Test_explore.expect C.gc_strict_spec
 
 let test_gc_lossy_spec_holds () =
-  expect_holds "group commit vs lossy spec"
+  Verdict.check_holds "group commit vs lossy spec"
     (Gc.checker_config ~max_crashes:1 [ [ Gc.write_call vx vy ] ])
 
 (* --- WAL proof outlines --- *)

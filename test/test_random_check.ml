@@ -8,49 +8,45 @@ module Rd = Systems.Replicated_disk
 module C = Perennial_catalog.Catalog
 module M = Mailboat.Core
 
-let expect_holds name result =
-  match result with
-  | R.Refinement_holds stats ->
-    Alcotest.(check bool) (name ^ ": walked some executions") true (stats.R.executions > 0)
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats -> Alcotest.failf "%s: budget (%a)" name R.pp_stats stats
-
-let expect_violation name result =
-  match result with
-  | R.Refinement_violated _ -> ()
-  | R.Refinement_holds stats -> Alcotest.failf "%s: missed (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats -> Alcotest.failf "%s: budget (%a)" name R.pp_stats stats
-
 let test_random_rd_holds () =
-  expect_holds "rd random"
-    (C.on_config { f = (fun c -> R.check_random ~schedules:300 ~crash_prob:0.1 c) } C.rd_two_writers)
+  let stats =
+    Verdict.holds "rd random"
+      (C.on_config { f = (fun c -> R.check_random ~schedules:300 ~crash_prob:0.1 c) } C.rd_two_writers)
+  in
+  Alcotest.(check bool) "rd random: walked some executions" true (stats.R.executions > 0)
 
 let test_random_catches_zero_recovery () =
-  expect_violation "rd zero recovery random"
-    (C.on_config { f = (fun c -> R.check_random ~schedules:500 ~crash_prob:0.2 c) } C.rd_zero_recovery)
+  ignore
+    (Verdict.violated "rd zero recovery random"
+      (C.on_config { f = (fun c -> R.check_random ~schedules:500 ~crash_prob:0.2 c) } C.rd_zero_recovery))
 
 let test_random_catches_unlocked_writes () =
-  expect_violation "rd unlocked writes random"
-    (C.on_config { f = (fun c -> R.check_random ~schedules:800 ~crash_prob:0.0 c) } C.rd_unlocked)
+  ignore
+    (Verdict.violated "rd unlocked writes random"
+      (C.on_config { f = (fun c -> R.check_random ~schedules:800 ~crash_prob:0.0 c) } C.rd_unlocked))
 
 let test_random_scales_beyond_exhaustive () =
   (* 4 delivers (2 sequential + 2 concurrent) + a pickup session across 2
      users with crash injection: beyond the exhaustive checker's reach,
      fine for 200 random walks.  At most two delivers are in flight at a
      time, matching the 2-name spool universe of the model. *)
-  expect_holds "mailboat large instance"
-    (R.check_random ~schedules:200 ~crash_prob:0.05
-       (M.checker_config ~users:2 ~max_crashes:1
-          [ [ M.deliver_call 0 "ab"; M.deliver_call 0 "cd" ];
-            [ M.deliver_call 1 "ef"; M.pickup_call 0; M.unlock_call 0 ];
-            [ M.pickup_call 1; M.unlock_call 1 ] ]))
+  let stats =
+    Verdict.holds "mailboat large instance"
+      (R.check_random ~schedules:200 ~crash_prob:0.05
+         (M.checker_config ~users:2 ~max_crashes:1
+            [ [ M.deliver_call 0 "ab"; M.deliver_call 0 "cd" ];
+              [ M.deliver_call 1 "ef"; M.pickup_call 0; M.unlock_call 0 ];
+              [ M.pickup_call 1; M.unlock_call 1 ] ]))
+  in
+  Alcotest.(check bool) "mailboat large instance: walked some executions" true (stats.R.executions > 0)
 
 let test_random_catches_unspooled_large () =
-  expect_violation "mailboat unspooled random"
-    (R.check_random ~schedules:600 ~crash_prob:0.1
-       (M.checker_config ~users:1 ~max_crashes:1
-          [ [ M.Buggy.deliver_call_unspooled 0 "abcd" ];
-            [ M.pickup_call 0; M.unlock_call 0 ] ]))
+  ignore
+    (Verdict.violated "mailboat unspooled random"
+      (R.check_random ~schedules:600 ~crash_prob:0.1
+         (M.checker_config ~users:1 ~max_crashes:1
+            [ [ M.Buggy.deliver_call_unspooled 0 "abcd" ];
+              [ M.pickup_call 0; M.unlock_call 0 ] ])))
 
 let test_random_deterministic_given_seed () =
   let run () =
@@ -111,11 +107,14 @@ let test_random_replay_round_trip () =
   | R.Budget_exhausted stats -> Alcotest.failf "budget (%a)" R.pp_stats stats
 
 let test_random_wal_with_deep_crashes () =
-  expect_holds "wal deep crashes"
-    (R.check_random ~schedules:300 ~crash_prob:0.15
-       (Systems.Wal.checker_config ~max_crashes:3
-          [ [ Systems.Wal.write_call (V.str "a") (V.str "b");
-              Systems.Wal.write_call (V.str "c") (V.str "d") ] ]))
+  let stats =
+    Verdict.holds "wal deep crashes"
+      (R.check_random ~schedules:300 ~crash_prob:0.15
+         (Systems.Wal.checker_config ~max_crashes:3
+            [ [ Systems.Wal.write_call (V.str "a") (V.str "b");
+                Systems.Wal.write_call (V.str "c") (V.str "d") ] ]))
+  in
+  Alcotest.(check bool) "wal deep crashes: walked some executions" true (stats.R.executions > 0)
 
 let suite =
   [

@@ -33,18 +33,6 @@ module Fs = Perennial_fs.Fs
 let b = Block.of_string
 let bv s = Block.to_value (b s)
 
-let expect_holds name = function
-  | R.Refinement_holds stats -> stats
-  | R.Refinement_violated (f, _) -> Alcotest.failf "%s: %a" name R.pp_failure f
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
-let expect_violated name = function
-  | R.Refinement_violated (f, _) -> f
-  | R.Refinement_holds stats -> Alcotest.failf "%s: bug not caught (%a)" name R.pp_stats stats
-  | R.Budget_exhausted stats ->
-    Alcotest.failf "%s: budget exhausted (%a)" name R.pp_stats stats
-
 (* test_explore's differential harness: same verdict as naive, never more
    executions *)
 let differential name run = ignore (Test_explore.across_strategies name run)
@@ -66,7 +54,7 @@ let test_circ_positive () =
 
 let test_circ_bug_header_first () =
   ignore
-    (expect_violated "circ: header before records"
+    (Verdict.violated "circ: header before records"
        (R.check
           (C.checker_config cly ~max_crashes:1
              [ [ C.Buggy.append_call_header_first cly [ (1, b "x") ] ] ])))
@@ -108,7 +96,7 @@ let test_wal_faults () =
   differential "wal: mwrite; flush + fault budget 1 + crash" (fun strategy ->
       Cat.run ~strategy ~faults:1 Cat.wal_flush_faults);
   ignore
-    (expect_holds "wal: installer under faults"
+    (Verdict.holds "wal: installer under faults"
        (R.check ~faults:1
           (W.checker_config wp1 ~max_crashes:0
              [ [ W.mwrite_call wp1 [ (0, b "A") ];
