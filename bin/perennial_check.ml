@@ -1,11 +1,12 @@
 (* perennial_check: run every verification artifact in the repository and
    print a report — the outline proofs (Theorem 2's premises) and the
-   exhaustive refinement checks (its conclusion) for each system.  Every
+   exhaustive refinement checks (its conclusion) for each system.  It is
+   the one reporter of these verdicts; dune runtest asserts them.  Every
    selection but outlines runs one group of lib/catalog's instances: each
    instance carries its name, expected verdict (a seeded bug must be
    caught) and how the --faults budget applies to it.
 
-   Usage: perennial_check [outlines|refinement|kvs|wal|fs|faults|net|strategies|all]
+   Usage: perennial_check [outlines|refinement|bugs|kvs|wal|fs|faults|net|strategies|all]
                           [--strategy naive|dpor|dpor+sleep]
                           [--faults N] [--max-seconds S]
                           [--domains N] [--fingerprint] [--symmetry]
@@ -105,7 +106,10 @@ let run_outlines () =
     (Systems.Shadow_proof.check ());
   List.iter
     (fun (name, r) -> report ("cached-block " ^ name) (outline_result r))
-    (Systems.Cached_proof.check ())
+    (Systems.Cached_proof.check ());
+  List.iter
+    (fun (name, r) -> report ("journal-kvs " ^ name) (outline_result r))
+    (Journal.Kvs_proof.check ())
 
 (* One report line per catalog instance: a positive instance reports its
    stats, a seeded bug the counterexample that caught it. *)
@@ -251,6 +255,9 @@ let () =
     [ ( "refinement",
         Fmt.str "Exhaustive concurrent-recovery-refinement checks [strategy=%s]:" sname,
         C.refinement );
+      ( "bugs",
+        Fmt.str "Seeded-bug suite (§9.5), each must be caught [strategy=%s]:" sname,
+        C.bugs );
       ("kvs", Fmt.str "Journaled key-value store (2 keys, exhaustive) [strategy=%s]:" sname, C.kvs);
       ("wal", Fmt.str "Circular write-ahead log [strategy=%s faults=%d]:" sname faults, C.wal);
       ( "fs",
@@ -264,7 +271,8 @@ let () =
   let selections = "outlines" :: "strategies" :: "all" :: List.map (fun (w, _, _) -> w) groups in
   if not (List.mem what selections) then begin
     Printf.eprintf
-      "perennial_check: unknown selection %s (want outlines|refinement|kvs|wal|fs|faults|net|strategies|all)\n"
+      "perennial_check: unknown selection %s (want \
+       outlines|refinement|bugs|kvs|wal|fs|faults|net|strategies|all)\n"
       what;
     exit 2
   end;

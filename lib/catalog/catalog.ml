@@ -132,7 +132,7 @@ let mailboat_random =
 
 let refinement =
   [ rd_two_writers; cached_block; shadow_copy; wal_recovery; group_commit; mailboat_deliver;
-    mailboat_fsync_deferred; layered; mailboat_random ]
+    mailboat_deferred; mailboat_fsync_deferred; mailboat_fsync_sync; layered; mailboat_random ]
 
 (* The paper's §9.5 bug suite and the seeded bugs of the other patterns *)
 
@@ -581,5 +581,4 @@ let all =
     (fun acc i -> if List.memq i acc then acc else acc @ [ i ])
     []
     (refinement @ bugs @ kvs @ strategies @ wal @ fs @ faults @ net
-    @ [ journal_commit_read_fault; fs_create_append_probed; fs_unlink_probed; mailboat_deferred;
-        mailboat_fsync_sync ])
+    @ [ journal_commit_read_fault; fs_create_append_probed; fs_unlink_probed ])

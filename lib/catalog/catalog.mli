@@ -3,9 +3,9 @@
     An instance is a named refinement check over one of the systems: the
     configuration it checks, the verdict it must reach, how it runs, and how
     a selection's fault budget applies to it.  [perennial_check]'s
-    selections, the bench sections and the differential tests all iterate
-    the groups below; an instance used by two groups is one value listed
-    twice. *)
+    selections report the groups below and the differential, domain and
+    golden tests assert them; an instance used by two groups is one value
+    listed twice. *)
 
 module R := Perennial_core.Refinement
 module E := Perennial_core.Explore
@@ -160,7 +160,9 @@ val kvs_skip_buffer : t
 (** {2 Groups} *)
 
 val refinement : t list
-(** [perennial_check refinement]: the paper's systems and Mailboat. *)
+(** [perennial_check refinement]: the paper's systems, and Mailboat with
+    its deferred-durability trio (plain deliver violated, fsync deliver
+    holding under deferred and under sync durability). *)
 
 val kvs : t list
 (** [perennial_check kvs] *)
@@ -184,8 +186,9 @@ val strategies : t list
 (** [perennial_check strategies]: the cross-strategy guard's instances. *)
 
 val bugs : t list
-(** The seeded bugs of the paper's systems, Mailboat, the journal and the
-    KVS: [rd_bugs @ pattern_bugs @ journal_bugs]. *)
+(** [perennial_check bugs]: the seeded bugs of the paper's systems,
+    Mailboat, the journal and the KVS (§9.5):
+    [rd_bugs @ pattern_bugs @ journal_bugs]. *)
 
 val rd_bugs : t list
 val pattern_bugs : t list

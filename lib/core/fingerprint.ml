@@ -198,7 +198,7 @@ let intern s =
   Mutex.unlock sh.lock;
   r
 
-let digest ?symmetry ?key_prefix st = intern (canonical ?symmetry ?key_prefix st)
+let digest ?symmetry st = intern (canonical ?symmetry st)
 
 let table_size () =
   Array.fold_left

@@ -85,7 +85,7 @@ val canonical : ?symmetry:bool -> ?key_prefix:string -> state -> string
 type t
 (** An interned fingerprint: a small id plus the full canonical string. *)
 
-val digest : ?symmetry:bool -> ?key_prefix:string -> state -> t * bool
+val digest : ?symmetry:bool -> state -> t * bool
 (** Canonicalize and intern.  The boolean is [true] when the fingerprint
     was fresh (a miss: first time this canonical state is seen globally). *)
 

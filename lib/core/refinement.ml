@@ -13,15 +13,13 @@ type ('w, 's) config = {
   fault_budget : int;
   max_seconds : float option;
   step_budget : int;
-  fail_on_deadlock : bool;
 }
 
 let config ~spec ~init_world ~crash_world ~pp_world ~threads ~recovery ?(post = [])
-    ?(max_crashes = 1) ?(fault_budget = 0) ?max_seconds ?(step_budget = 5_000_000)
-    ?(fail_on_deadlock = true) () =
+    ?(max_crashes = 1) ?(fault_budget = 0) ?max_seconds ?(step_budget = 5_000_000) () =
   {
     spec; init_world; crash_world; pp_world; threads; recovery; post; max_crashes;
-    fault_budget; max_seconds; step_budget; fail_on_deadlock;
+    fault_budget; max_seconds; step_budget;
   }
 
 type stats = {
@@ -567,7 +565,7 @@ type mode =
       cutoff : int;
       emit : (int list -> unit) option;
       replay_path : int list;
-      fp : (bool * string option) option;  (** fingerprinting: symmetry, key prefix *)
+      fp : bool option;  (** fingerprinting: symmetry *)
     }
   | Walks of { seed : int; crash_prob : float; first : int; last : int; schedules : int }
 
@@ -873,13 +871,12 @@ let run_instance (type w s) (cfg : (w, s) config) ~mode ~fault_budget ~deadline 
     List.map (fun l -> if l.tid = si.Explore.si_tid then { l with prog = prog' } else l) lives
   in
   let deadlock lives trace =
-    if cfg.fail_on_deadlock then
-      raise
-        (Violation
-           (mk_failure
-              (Fmt.str "deadlock: threads %s all blocked"
-                 (String.concat "," (List.map (fun l -> string_of_int l.tid) lives)))
-              trace))
+    raise
+      (Violation
+         (mk_failure
+            (Fmt.str "deadlock: threads %s all blocked"
+               (String.concat "," (List.map (fun l -> string_of_int l.tid) lives)))
+            trace))
   in
 
   let initial () =
@@ -961,7 +958,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~mode ~fault_budget ~deadline 
     let fp_prune w lives cands crashes fused fsite =
       match fp with
       | None -> false
-      | Some (symmetry, key_prefix) ->
+      | Some symmetry ->
         let st =
           {
             Fingerprint.f_world = Fmt.str "%a" cfg.pp_world w;
@@ -992,7 +989,7 @@ let run_instance (type w s) (cfg : (w, s) config) ~mode ~fault_budget ~deadline 
                 (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
           }
         in
-        let t, _fresh = Fingerprint.digest ~symmetry ?key_prefix st in
+        let t, _fresh = Fingerprint.digest ~symmetry st in
         let id = Fingerprint.id t in
         if Hashtbl.mem fp_seen id then begin
           ctr.c_fp_hits <- ctr.c_fp_hits + 1;
@@ -1256,7 +1253,7 @@ let verdict ctr outcomes =
 let split_depth = 2
 
 let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
-    ?(fingerprint = false) ?(symmetry = false) ?key_prefix (cfg : (w, s) config) : result =
+    ?(fingerprint = false) ?(symmetry = false) (cfg : (w, s) config) : result =
   if symmetry && not fingerprint then
     invalid_arg "Refinement.check: ~symmetry requires ~fingerprint:true";
   if fingerprint && strategy <> Explore.Naive then
@@ -1272,7 +1269,7 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
   let deadline =
     deadline_of (match max_seconds with Some _ as s -> s | None -> cfg.max_seconds)
   in
-  let fp = if fingerprint then Some (symmetry, key_prefix) else None in
+  let fp = if fingerprint then Some symmetry else None in
   let sched_seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let sched_lock = Mutex.create () in
   let run ~ctr ~step_base ~cutoff ~emit ~replay_path =
@@ -1312,10 +1309,9 @@ let check (type w s) ?(strategy = Explore.Naive) ?faults ?max_seconds ?domains
            raise) *)
         verdict ctr (Array.append results [| split |])))
 
-let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix
-    cfg =
+let check_exn ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry cfg =
   let t0 = Obs.Trace.now_us () in
-  match check ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry ?key_prefix cfg with
+  match check ?strategy ?faults ?max_seconds ?domains ?fingerprint ?symmetry cfg with
   | Refinement_holds stats -> stats
   | Refinement_violated (f, stats) ->
     failwith (Fmt.str "@[<v>Refinement_violated: %a@,stats: %a@]" pp_failure f pp_stats stats)

@@ -54,7 +54,6 @@ type ('w, 's) config = {
       (** wall-clock budget for the whole check; [None] = unlimited.
           Exceeding it yields {!Budget_exhausted}, like [step_budget]. *)
   step_budget : int;
-  fail_on_deadlock : bool;
 }
 
 val config :
@@ -69,12 +68,11 @@ val config :
   ?fault_budget:int ->
   ?max_seconds:float ->
   ?step_budget:int ->
-  ?fail_on_deadlock:bool ->
   unit ->
   ('w, 's) config
 (** Defaults: no post probes, [max_crashes = 1], [fault_budget = 0],
-    no wall-clock budget, [step_budget = 5_000_000],
-    [fail_on_deadlock = true]. *)
+    no wall-clock budget, [step_budget = 5_000_000].  A state where
+    every live thread is blocked is always a violation (a deadlock). *)
 
 type stats = {
   executions : int;  (** complete explored paths *)
@@ -163,7 +161,6 @@ val check :
   ?domains:int ->
   ?fingerprint:bool ->
   ?symmetry:bool ->
-  ?key_prefix:string ->
   ('w, 's) config ->
   result
 (** Exhaustive check under the given exploration strategy (default
@@ -216,8 +213,8 @@ val check :
     on timing), so parallel fingerprint runs prune less than sequential
     ones but stay deterministic.  [~symmetry:true] (requires
     [~fingerprint:true]) additionally canonicalizes interchangeable
-    threads — and, with [?key_prefix], renamable resource tokens — before
-    digesting; see {!Fingerprint.canonical} for the obligations. *)
+    threads before digesting; see {!Fingerprint.canonical} for the
+    obligations. *)
 
 val check_exn :
   ?strategy:Explore.strategy ->
@@ -226,7 +223,6 @@ val check_exn :
   ?domains:int ->
   ?fingerprint:bool ->
   ?symmetry:bool ->
-  ?key_prefix:string ->
   ('w, 's) config ->
   stats
 (** Like {!check} but raises [Failure] with a rendered report on violation

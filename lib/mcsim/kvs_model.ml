@@ -107,37 +107,10 @@ let generate ~seed ~n_keys ~n : request list =
 
 (* --- the core-count sweep --- *)
 
-type point = {
-  cores : int;
-  throughput_rps : float;
-  lat_p50_us : float;
-  lat_p95_us : float;
-  lat_p99_us : float;
-}
-
-type series = { variant : variant; points : point list }
-
-let sweep ?(n_keys = 16) ?(requests = 20_000) ?(seed = 7) ?(max_cores = 12) () :
-    series list =
-  let reqs = generate ~seed ~n_keys ~n:requests in
-  List.map
-    (fun variant ->
-      let compiled = compile ~variant ~n_keys reqs in
-      let points =
-        List.map
-          (fun cores ->
-            let out = Sim.run ~gc_quantum:150. ~gc_slice:14. ~cores compiled in
-            { cores;
-              throughput_rps = Sim.throughput out;
-              lat_p50_us = Sim.percentile out.Sim.latencies_us 50.;
-              lat_p95_us = Sim.percentile out.Sim.latencies_us 95.;
-              lat_p99_us = Sim.percentile out.Sim.latencies_us 99. })
-          (List.init max_cores (fun i -> i + 1))
-      in
-      { variant; points })
-    [ Global_lock; Per_key; Group_commit ]
-
-let throughput_at series cores =
-  match List.find_opt (fun pt -> pt.cores = cores) series.points with
-  | Some pt -> pt.throughput_rps
-  | None -> invalid_arg "throughput_at"
+let sweep ?(requests = 20_000) () =
+  let n_keys = 16 in
+  let reqs = generate ~seed:7 ~n_keys ~n:requests in
+  Sim.sweep
+    (List.map
+       (fun variant -> (variant, compile ~variant ~n_keys reqs))
+       [ Global_lock; Per_key; Group_commit ])

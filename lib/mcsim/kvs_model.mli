@@ -26,18 +26,6 @@ val compile :
 (** Expand requests into per-request action lists.  Under {!Group_commit},
     every [batch]-th buffered put pays for the merged flush transaction. *)
 
-type point = {
-  cores : int;
-  throughput_rps : float;
-  lat_p50_us : float;  (** median request latency at this core count *)
-  lat_p95_us : float;
-  lat_p99_us : float;
-}
-
-type series = { variant : variant; points : point list }
-
-val sweep :
-  ?n_keys:int -> ?requests:int -> ?seed:int -> ?max_cores:int -> unit -> series list
-(** Throughput of the three disciplines as the core count varies. *)
-
-val throughput_at : series -> int -> float
+val sweep : ?requests:int -> unit -> variant Sim.series list
+(** Throughput of the three disciplines as the core count varies, on a
+    16-key store. *)

@@ -111,40 +111,12 @@ let compile ~kind (reqs : Mailboat.Workload.request list) : Sim.action list arra
 
 (* --- the Figure 11 sweep --- *)
 
-type point = {
-  cores : int;
-  throughput_rps : float;
-  lat_p50_us : float;
-  lat_p95_us : float;
-  lat_p99_us : float;
-}
-
-type series = { kind : Mailboat.Server.kind; points : point list }
-
 (** Reproduce Figure 11: throughput of the three servers as the core count
-    varies, on the standard workload (equal deliver/pickup mix, [users]
-    users, fixed total requests). *)
-let figure11 ?(users = 100) ?(requests = 30_000) ?(seed = 42) ?(max_cores = 12) () :
-    series list =
-  let reqs = Mailboat.Workload.generate ~seed ~users ~n:requests in
-  List.map
-    (fun kind ->
-      let compiled = compile ~kind reqs in
-      let points =
-        List.map
-          (fun cores ->
-            let out = Sim.run ~gc_quantum:150. ~gc_slice:14. ~cores compiled in
-            { cores;
-              throughput_rps = Sim.throughput out;
-              lat_p50_us = Sim.percentile out.Sim.latencies_us 50.;
-              lat_p95_us = Sim.percentile out.Sim.latencies_us 95.;
-              lat_p99_us = Sim.percentile out.Sim.latencies_us 99. })
-          (List.init max_cores (fun i -> i + 1))
-      in
-      { kind; points })
-    [ Mailboat.Server.Mailboat_server; Mailboat.Server.Gomail; Mailboat.Server.Cmail ]
-
-let throughput_at series cores =
-  match List.find_opt (fun pt -> pt.cores = cores) series.points with
-  | Some pt -> pt.throughput_rps
-  | None -> invalid_arg "throughput_at"
+    varies, on the standard workload (equal deliver/pickup mix, 100 users,
+    fixed total requests). *)
+let figure11 ?(requests = 30_000) () =
+  let reqs = Mailboat.Workload.generate ~seed:42 ~users:100 ~n:requests in
+  Sim.sweep
+    (List.map
+       (fun kind -> (kind, compile ~kind reqs))
+       [ Mailboat.Server.Mailboat_server; Mailboat.Server.Gomail; Mailboat.Server.Cmail ])

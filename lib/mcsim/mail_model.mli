@@ -27,19 +27,6 @@ val compile : kind:Mailboat.Server.kind -> Mailboat.Workload.request list -> Sim
 (** Expand a §9.3 workload into per-request action lists, tracking mailbox
     sizes (a pickup session reads whatever has been delivered so far). *)
 
-type point = {
-  cores : int;
-  throughput_rps : float;
-  lat_p50_us : float;  (** median request latency at this core count *)
-  lat_p95_us : float;
-  lat_p99_us : float;
-}
-
-type series = { kind : Mailboat.Server.kind; points : point list }
-
-val figure11 :
-  ?users:int -> ?requests:int -> ?seed:int -> ?max_cores:int -> unit -> series list
+val figure11 : ?requests:int -> unit -> Mailboat.Server.kind Sim.series list
 (** Reproduce Figure 11: throughput of the three servers as the core count
     varies, on the standard workload. *)
-
-val throughput_at : series -> int -> float

@@ -178,3 +178,41 @@ let run ?(gc_quantum = 150.) ?(gc_slice = 6.) ~cores (requests : action list arr
 let throughput outcome =
   if outcome.makespan_us <= 0. then 0.
   else float_of_int outcome.total /. (outcome.makespan_us /. 1_000_000.)
+
+(* --- the core-count sweep --- *)
+
+type point = {
+  cores : int;
+  throughput_rps : float;
+  lat_p50_us : float;
+  lat_p95_us : float;
+  lat_p99_us : float;
+}
+
+type 'a series = { label : 'a; points : point list }
+
+(* Both cost models are calibrated against the same GC regime: a 14 μs
+   collector slice per 150 μs of CPU work, over the paper's 1 to 12 cores. *)
+let sweep runs =
+  List.map
+    (fun (label, requests) ->
+      let points =
+        List.map
+          (fun cores ->
+            let out = run ~gc_quantum:150. ~gc_slice:14. ~cores requests in
+            { cores;
+              throughput_rps = throughput out;
+              lat_p50_us = percentile out.latencies_us 50.;
+              lat_p95_us = percentile out.latencies_us 95.;
+              lat_p99_us = percentile out.latencies_us 99. })
+          (List.init 12 (fun i -> i + 1))
+      in
+      { label; points })
+    runs
+
+let at series cores =
+  match List.find_opt (fun pt -> pt.cores = cores) series.points with
+  | Some pt -> pt
+  | None -> invalid_arg "Sim.at"
+
+let throughput_at series cores = (at series cores).throughput_rps

@@ -38,3 +38,27 @@ val throughput : outcome -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] is the nearest-rank [p]-th percentile ([p] in
     [0..100]) of the sample; [0.] on an empty sample. *)
+
+(** {2 The core-count sweep} *)
+
+type point = {
+  cores : int;
+  throughput_rps : float;
+  lat_p50_us : float;  (** median request latency at this core count *)
+  lat_p95_us : float;
+  lat_p99_us : float;
+}
+
+type 'a series = { label : 'a; points : point list }
+
+val sweep : ('a * action list array) list -> 'a series list
+(** [sweep runs] runs each labelled request list at 1 to 12 cores (the
+    paper's range), with a 14 μs GC slice per 150 μs of CPU work, and
+    reports throughput and nearest-rank latency percentiles per core
+    count. *)
+
+val at : 'a series -> int -> point
+(** The point at this core count; [Invalid_argument] if the sweep did
+    not reach it. *)
+
+val throughput_at : 'a series -> int -> float

@@ -31,8 +31,7 @@ module Make (M : Ra_intf.S) = struct
     && core_dup a
 
   (** Check every law over a finite sample; returns the failing triple if
-      any.  Used both by tests and by [bench table1] to report law
-      coverage. *)
+      any. *)
   let check_sample sample =
     let failure = ref None in
     List.iter

@@ -118,14 +118,14 @@ let test_ft_strategies_agree () =
 (* Seeded fault-handling bugs                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A seeded fault bug, at fault budget 1, is caught with the injected fault
-   visible in the counterexample lanes. *)
-let caught ?strategy inst =
+(* A seeded fault bug, at fault budget 1 unless given, is caught with the
+   injected fault visible in the counterexample lanes. *)
+let caught ?strategy ?(faults = 1) inst =
   let name =
-    C.name inst
+    Printf.sprintf "%s at budget %d" (C.name inst) faults
     ^ match strategy with None -> "" | Some s -> " under " ^ E.strategy_name s
   in
-  let f = Verdict.violated name (C.run ?strategy ~faults:1 inst) in
+  let f = Verdict.violated name (C.run ?strategy ~faults inst) in
   Alcotest.(check bool)
     (name ^ ": injected fault visible in lanes")
     true
@@ -143,10 +143,15 @@ let test_journal_torn_commit_caught () = caught C.journal_torn
    the key never written and recovery already disarmed. *)
 let test_kvs_swallow_apply_caught () = caught C.kvs_swallow
 
-(* All three bugs are strategy-independent. *)
+(* All three bugs are strategy-independent, and still show the fault at
+   [perennial_check faults]' default budget of 2. *)
 let test_bugs_all_strategies () =
   List.iter
-    (fun strategy -> List.iter (caught ~strategy) C.[ rd_no_retry; journal_torn; kvs_swallow ])
+    (fun strategy ->
+      List.iter
+        (fun faults ->
+          List.iter (caught ~strategy ~faults) C.[ rd_no_retry; journal_torn; kvs_swallow ])
+        [ 1; 2 ])
     E.all_strategies
 
 (* ------------------------------------------------------------------ *)

@@ -75,12 +75,12 @@ let test_determinism () =
 
 let fig11 = lazy (M.figure11 ~requests:10_000 ())
 
-let series kind = List.find (fun (s : M.series) -> s.kind = kind) (Lazy.force fig11)
+let series kind = List.find (fun (s : _ Sim.series) -> s.label = kind) (Lazy.force fig11)
 
 let test_fig11_single_core_ratios () =
-  let mb = M.throughput_at (series Mailboat.Server.Mailboat_server) 1 in
-  let gm = M.throughput_at (series Mailboat.Server.Gomail) 1 in
-  let cm = M.throughput_at (series Mailboat.Server.Cmail) 1 in
+  let mb = Sim.throughput_at (series Mailboat.Server.Mailboat_server) 1 in
+  let gm = Sim.throughput_at (series Mailboat.Server.Gomail) 1 in
+  let cm = Sim.throughput_at (series Mailboat.Server.Cmail) 1 in
   let r1 = mb /. gm and r2 = gm /. cm in
   Alcotest.(check bool)
     (Printf.sprintf "Mailboat/GoMail %.2f in [1.6,2.0]" r1)
@@ -98,8 +98,8 @@ let test_fig11_ordering_everywhere () =
       Alcotest.(check bool)
         (Printf.sprintf "order at %d cores" c)
         true
-        (M.throughput_at mb c > M.throughput_at gm c
-        && M.throughput_at gm c > M.throughput_at cm c))
+        (Sim.throughput_at mb c > Sim.throughput_at gm c
+        && Sim.throughput_at gm c > Sim.throughput_at cm c))
     (List.init 12 (fun i -> i + 1))
 
 let test_fig11_monotone_and_sublinear () =
@@ -109,9 +109,9 @@ let test_fig11_monotone_and_sublinear () =
       Alcotest.(check bool)
         (Printf.sprintf "monotone at %d" c)
         true
-        (M.throughput_at mb (c + 1) >= M.throughput_at mb c *. 0.99))
+        (Sim.throughput_at mb (c + 1) >= Sim.throughput_at mb c *. 0.99))
     (List.init 11 (fun i -> i + 1));
-  let speedup = M.throughput_at mb 12 /. M.throughput_at mb 1 in
+  let speedup = Sim.throughput_at mb 12 /. Sim.throughput_at mb 1 in
   Alcotest.(check bool)
     (Printf.sprintf "sublinear: %.1fx at 12 cores" speedup)
     true

@@ -190,9 +190,10 @@ let test_fpu_lease_write () =
   let post = Ls.op (Ls.master 0 "b") (Ls.lease 0 "b") in
   Alcotest.(check bool) "write is frame-preserving" true
     (F.ok1 ~frames:lease_sample pre post);
-  (* Updating the master alone is not: the lease holder would disagree. *)
+  (* Updating the master alone is not: the lease holder would disagree,
+     and its lease is the one frame needed to say so. *)
   Alcotest.(check bool) "master-only update rejected" false
-    (F.ok1 ~frames:lease_sample (Ls.master 0 "a") (Ls.master 0 "b"))
+    (F.ok1 ~frames:[ Ls.lease 0 "a" ] (Ls.master 0 "a") (Ls.master 0 "b"))
 
 let test_fpu_lease_synthesis () =
   let module F = Ra.Fpu.Make (Ls) in
