@@ -120,17 +120,15 @@ let event_of e =
   in
   { ev_tid; ev_kind; ev_phase = phase_of e; ev_label = label_of e; ev_text }
 
-type failure = { reason : string; trace : string list; events : event list }
+type failure = { reason : string; events : event list }
 
 (* [revents] is newest-first, as accumulated during exploration. *)
-let mk_failure reason revents =
-  let events = List.rev_map event_of revents in
-  { reason; trace = List.map (fun e -> e.ev_text) events; events }
+let mk_failure reason revents = { reason; events = List.rev_map event_of revents }
 
 let pp_failure ppf f =
   Fmt.pf ppf "@[<v>refinement violated: %s@,trace:@,  @[<v>%a@]@]" f.reason
-    (Fmt.list ~sep:Fmt.cut Fmt.string)
-    f.trace
+    (Fmt.list ~sep:Fmt.cut (fun ppf e -> Fmt.string ppf e.ev_text))
+    f.events
 
 (* Per-thread lanes: one column per thread id (in order of appearance),
    plus a rightmost lane for global events (crash, recovery, post steps). *)

@@ -128,9 +128,7 @@ type event = {
 
 type failure = {
   reason : string;
-  trace : string list;  (** events on the failing path, oldest first —
-                            exactly [List.map (fun e -> e.ev_text) events] *)
-  events : event list;  (** the same path, structured *)
+  events : event list;  (** events on the failing path, oldest first *)
 }
 
 val pp_failure : failure Fmt.t

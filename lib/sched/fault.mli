@@ -1,11 +1,16 @@
-(** Fault kinds, injections, and fault schedules.
+(** Fault kinds, injections, and fault schedules: the one vocabulary of
+    the adversary, storage and network alike.
 
     A fault is a *partial* failure — strictly smaller than a whole-system
-    crash: one I/O step misbehaves while every thread keeps running.  Steps
-    declare which faults they can absorb (see {!Prog.atomic}'s [?faults]);
-    an oracle — the runner's [?fault_schedule] or the refinement checker's
-    exhaustive enumeration ([?faults] on [Refinement.check]) — decides which
-    declared fault actually fires. *)
+    crash: one I/O step misbehaves, or one message is lost, duplicated,
+    reordered or delayed, while every thread keeps running.  Steps declare
+    which faults they can absorb (see {!Prog.atomic}'s [?faults]): storage
+    steps the disk kinds, {!Net}'s send and receive steps the [Msg_*] kinds.
+    An oracle decides which declared fault actually fires: the refinement
+    checker branches on every fault point up to its budget ([?faults] on
+    [Refinement.check]), and the runner's [?fault_schedule] replays one
+    {!schedule} — which is how tests replay a specific storage or network
+    schedule. *)
 
 type kind =
   | Read_error  (** transient: the read fails, disk state unchanged *)
@@ -25,12 +30,9 @@ type kind =
 
 val kind_name : kind -> string
 val pp_kind : kind Fmt.t
-val compare_kind : kind -> kind -> int
 val equal_kind : kind -> kind -> bool
 
 type io_error = Eio of kind  (** carries the kind that caused it *)
-
-val io_error_name : io_error -> string
 
 val eio : io_error -> Tslang.Value.t
 (** Distinguished error payload: fallible operations return either their
@@ -51,14 +53,3 @@ type injection = { at : int; kind : kind }
     (0-based, counting only steps that declare at least one fault). *)
 
 type schedule = injection list
-
-val pp_injection : injection Fmt.t
-val pp_schedule : schedule Fmt.t
-val compare_injection : injection -> injection -> int
-val compare_schedule : schedule -> schedule -> int
-
-val enumerate : budget:int -> (int * kind list) list -> schedule list
-(** [enumerate ~budget sites] lists every schedule drawing at most [budget]
-    injections from [sites], a list of [(site_index, kinds_available)]
-    pairs.  Deterministic in the input and duplicate-free; the empty
-    schedule comes first. *)

@@ -27,12 +27,6 @@ let cell_at name i = Volatile (name, i)
 let loc_equal (a : loc) (b : loc) = a = b
 let mem l ls = List.exists (loc_equal l) ls
 
-let union a b =
-  match (a, b) with
-  | Unknown, _ | _, Unknown -> Unknown
-  | Rw a, Rw b ->
-    Rw { reads = a.reads @ b.reads; writes = a.writes @ b.writes; kind = Plain }
-
 let conflicts a b =
   match (a, b) with
   | Unknown, _ | _, Unknown -> true

@@ -57,9 +57,6 @@ val cell_at : string -> int -> loc
 (** Slot [i] of a named volatile region (e.g. one inode's page-cache
     entry): [cell_at name 0 = cell name]. *)
 
-val union : t -> t -> t
-(** Combined footprint; [Unknown] absorbs. The kind degrades to [Plain]. *)
-
 val conflicts : t -> t -> bool
 (** [conflicts a b] iff one step may write a location the other may touch —
     the steps do not commute.  [Unknown] conflicts with everything. *)
@@ -74,5 +71,4 @@ val may_be_coenabled : t -> t -> bool
     (e.g. [acquire l] vs [release l]).  Used to place DPOR backtrack
     points at genuine races only. *)
 
-val pp_loc : loc Fmt.t
 val pp : t Fmt.t

@@ -1,100 +1,17 @@
-(** Message-passing network model with an enumerable adversary.
+(** Message-passing network model.
 
     Channels are named FIFO queues of {!Tslang.Value} messages living inside
     the program world (behind a [~get]/[~set] lens, like every other piece
     of shared state).  The network adversary — loss, duplication,
-    reordering, bounded delay — is expressed through the SAME machinery as
-    storage faults: each send/recv step declares its adversary events on
-    {!Prog.Atomic}'s [faults] channel, so the refinement checker's
-    fault-budget enumeration, the runner's fault-schedule oracle, DPOR's
+    reordering, delay — is the {!Fault} [Msg_*] kinds: each send/recv step
+    declares them on {!Prog.Atomic}'s [faults] channel, so the checker's
+    fault exploration, the runner's fault-schedule oracle, DPOR's
     dependence rule for fault sites, coverage-site registration, and FAULT
-    lane rendering all compose with network schedules exactly as they do
-    with disk faults today. *)
+    lane rendering treat network schedules exactly as disk faults. *)
 
 module V = Tslang.Value
 module P = Prog
 module Fp = Footprint
-
-(* ------------------------------------------------------------------ *)
-(* Adversary event kinds                                               *)
-(* ------------------------------------------------------------------ *)
-
-type kind =
-  | Drop
-  | Dup
-  | Reorder of int
-  | Delay
-
-let kind_name = function
-  | Drop -> "msg_drop"
-  | Dup -> "msg_dup"
-  | Reorder k -> Printf.sprintf "msg_reorder(%d)" k
-  | Delay -> "msg_delay"
-
-let pp_kind ppf k = Format.pp_print_string ppf (kind_name k)
-let compare_kind (a : kind) (b : kind) = Stdlib.compare a b
-let equal_kind (a : kind) (b : kind) = a = b
-
-let to_fault = function
-  | Drop -> Fault.Msg_drop
-  | Dup -> Fault.Msg_dup
-  | Reorder k -> Fault.Msg_reorder k
-  | Delay -> Fault.Msg_delay
-
-let of_fault = function
-  | Fault.Msg_drop -> Some Drop
-  | Fault.Msg_dup -> Some Dup
-  | Fault.Msg_reorder k -> Some (Reorder k)
-  | Fault.Msg_delay -> Some Delay
-  | Fault.Read_error | Fault.Write_error | Fault.Torn_write _ | Fault.Disk_offline
-  | Fault.Disk_online ->
-    None
-
-(* ------------------------------------------------------------------ *)
-(* Network schedules                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type injection = { at : int; kind : kind }
-type schedule = injection list
-
-let pp_injection ppf i = Format.fprintf ppf "%d:%s" i.at (kind_name i.kind)
-
-let pp_schedule ppf s =
-  Format.fprintf ppf "[%s]"
-    (String.concat "; "
-       (List.map (fun i -> Printf.sprintf "%d:%s" i.at (kind_name i.kind)) s))
-
-let compare_injection a b =
-  let c = Int.compare a.at b.at in
-  if c <> 0 then c else compare_kind a.kind b.kind
-
-let compare_schedule = List.compare compare_injection
-
-(* Same recursion as {!Fault.enumerate}: deterministic in the input,
-   duplicate-free (sites and kinds de-duplicated first), empty schedule
-   first. *)
-let enumerate ~budget sites =
-  let sites =
-    List.sort_uniq
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (List.map (fun (at, ks) -> (at, List.sort_uniq compare_kind ks)) sites)
-  in
-  let rec go budget = function
-    | [] -> [ [] ]
-    | (at, kinds) :: rest ->
-      let without = go budget rest in
-      if budget <= 0 then without
-      else
-        let tails = go (budget - 1) rest in
-        without
-        @ List.concat_map
-            (fun kind -> List.map (fun tl -> { at; kind } :: tl) tails)
-            kinds
-  in
-  go (max 0 budget) sites
-
-let to_fault_schedule s =
-  List.map (fun { at; kind } -> { Fault.at; kind = to_fault kind }) s
 
 (* ------------------------------------------------------------------ *)
 (* Channel state                                                       *)
@@ -166,56 +83,29 @@ let pp ppf (st : state) =
 
 let chan_loc ch = Fp.cell ("net:" ^ ch)
 
-(* The reorder events a receive can absorb in [st]: deliver the k-th
-   waiting message instead of the head, for k up to [window] (and within
-   the queue).  Needs at least two queued messages to differ from a normal
-   receive. *)
-let reorder_alts ~window ch st deliver =
-  let n = length ch st in
-  let rec ks k = if k > window || k >= n then [] else k :: ks (k + 1) in
-  List.map
-    (fun k ->
-      match recv_at ch k st with
-      | None -> assert false
-      | Some (m, st') -> (Fault.Msg_reorder k, st', deliver m st'))
-    (ks 1)
+(* The reorder event a receive can absorb in [st]: deliver the second
+   waiting message instead of the head, so it needs two queued messages. *)
+let reorder ~set ch st w =
+  match recv_at ch 1 st with
+  | None -> []
+  | Some (m, st') -> [ (Fault.Msg_reorder 1, set w st', Some m) ]
 
-let send_step ~get ~set ?(reliable = false) ch msg =
+let send_step ~get ~set ch msg =
   let fp _w = Fp.rw ~reads:[ chan_loc ch ] ~writes:[ chan_loc ch ] () in
   let action w = P.Steps [ (set w (send ch msg (get w)), ()) ] in
   let faults w =
-    if reliable then []
-    else
-      [
-        (Fault.Msg_drop, w, ());
-        (Fault.Msg_dup, set w (send ch msg (send ch msg (get w))), ());
-      ]
+    [
+      (Fault.Msg_drop, w, ());
+      (Fault.Msg_dup, set w (send ch msg (send ch msg (get w))), ());
+    ]
   in
   P.atomic ~fp ~faults ("net_send(" ^ ch ^ ")") action
 
-(* Blocking receive: unschedulable while the channel is empty.  No [Delay]
-   event here — in an interleaving semantics, delaying delivery to a
-   receiver that is willing to wait forever is subsumed by the scheduler
-   simply not running it yet; delay is only observable against a timeout
-   (see {!try_recv_step}). *)
-let recv_step ~get ~set ?(window = 1) ch =
-  let fp _w = Fp.rw ~reads:[ chan_loc ch ] ~writes:[ chan_loc ch ] () in
-  let action w =
-    match recv ch (get w) with
-    | None -> P.Steps []
-    | Some (m, st') -> P.Steps [ (set w st', m) ]
-  in
-  let faults w =
-    reorder_alts ~window ch (get w) (fun m st' -> ignore st'; m)
-    |> List.map (fun (kd, st', m) -> (kd, set w st', m))
-  in
-  P.atomic ~fp ~faults ("net_recv(" ^ ch ^ ")") action
-
 (* Non-blocking receive with a timeout outcome: an empty channel returns
-   [None] immediately (the caller's timeout fired), and the [Delay] event
-   makes the timeout fire even though a message IS queued — delivery
+   [None] immediately (the caller's timeout fired), and the [Msg_delay]
+   event makes the timeout fire even though a message IS queued — delivery
    delayed past the deadline, message still in flight. *)
-let try_recv_step ~get ~set ?(window = 1) ch =
+let try_recv_step ~get ~set ch =
   let fp _w = Fp.rw ~reads:[ chan_loc ch ] ~writes:[ chan_loc ch ] () in
   let action w =
     match recv ch (get w) with
@@ -225,25 +115,23 @@ let try_recv_step ~get ~set ?(window = 1) ch =
   let faults w =
     let st = get w in
     let delay = if length ch st = 0 then [] else [ (Fault.Msg_delay, w, None) ] in
-    delay
-    @ (reorder_alts ~window ch st (fun m _ -> Some m)
-      |> List.map (fun (kd, st', m) -> (kd, set w st', m)))
+    delay @ reorder ~set ch st w
   in
   P.atomic ~fp ~faults ("net_try_recv(" ^ ch ^ ")") action
 
 (* Server-loop receive: blocks until a message arrives OR the harness-level
    [until] predicate holds with the channel drained (all clients done →
    [None] → orderly shutdown).  [until_reads] lists the locations [until]
-   reads so DPOR keeps it ordered against the steps that change them. *)
-let recv_until ~get ~set ?(window = 1) ~until ?(until_reads = []) ch =
+   reads so DPOR keeps it ordered against the steps that change them.  No
+   [Msg_delay] event here — in an interleaving semantics, delaying delivery
+   to a receiver that is willing to wait is subsumed by the scheduler
+   simply not running it yet. *)
+let recv_until ~get ~set ~until ?(until_reads = []) ch =
   let fp _w = Fp.rw ~reads:(chan_loc ch :: until_reads) ~writes:[ chan_loc ch ] () in
   let action w =
     match recv ch (get w) with
     | Some (m, st') -> P.Steps [ (set w st', Some m) ]
     | None -> if until w then P.Steps [ (w, None) ] else P.Steps []
   in
-  let faults w =
-    reorder_alts ~window ch (get w) (fun m _ -> Some m)
-    |> List.map (fun (kd, st', m) -> (kd, set w st', m))
-  in
+  let faults w = reorder ~set ch (get w) w in
   P.atomic ~fp ~faults ("net_recv(" ^ ch ^ ")") action

@@ -1,16 +1,16 @@
-(** Message-passing network model with an enumerable adversary.
+(** Message-passing network model.
 
     Channels are named FIFO queues of {!Tslang.Value} messages living inside
-    the program world behind a [~get]/[~set] lens.  The adversary — message
-    loss, duplication, reordering, bounded delay — rides the SAME machinery
-    as storage faults: each send/recv step declares its adversary events on
-    {!Prog.Atomic}'s [faults] channel (as the [Fault.Msg_*] kinds), so
+    the program world behind a [~get]/[~set] lens.  There is no network
+    adversary vocabulary here: loss, duplication, reordering and delay are
+    the {!Fault} kinds [Msg_drop], [Msg_dup], [Msg_reorder k] and
+    [Msg_delay], which each send/receive step declares on
+    {!Prog.Atomic}'s [faults] channel, so
 
-    - the refinement checker's fault-budget enumeration explores network
-      schedules composed with crash points and interleavings exactly as it
-      explores disk-fault schedules;
-    - the runner's [?fault_schedule] oracle can replay a specific network
-      schedule deterministically;
+    - the refinement checker explores network schedules composed with crash
+      points and interleavings exactly as it explores disk-fault schedules;
+    - tests replay a specific network schedule through the runner's
+      [?fault_schedule] oracle, as a list of [Fault.Msg_*] injections;
     - DPOR stays sound (steps with live fault branches are globally
       dependent; every step also carries a per-channel footprint);
     - every [(channel, event-kind)] pair registers a coverage site
@@ -21,54 +21,6 @@
     message ({!clear}).  Recovery runs over a reliable network: the
     adversary only fires inside the main phase, mirroring the
     reliable-recovery fault assumption. *)
-
-(** {1 Adversary event kinds} *)
-
-type kind =
-  | Drop  (** the sent message is lost in flight *)
-  | Dup  (** the sent message is delivered twice *)
-  | Reorder of int
-      (** a receive delivers the [k]-th waiting message ([k >= 1])
-          instead of the head *)
-  | Delay
-      (** delivery delayed past the receiver's timeout: a non-blocking
-          receive times out even though a message is queued *)
-
-val kind_name : kind -> string
-val pp_kind : kind Fmt.t
-val compare_kind : kind -> kind -> int
-val equal_kind : kind -> kind -> bool
-
-val to_fault : kind -> Fault.kind
-(** The [Fault.Msg_*] embedding network steps declare their events with. *)
-
-val of_fault : Fault.kind -> kind option
-(** Partial inverse of {!to_fault}: [None] on storage-fault kinds. *)
-
-(** {1 Network schedules} *)
-
-type injection = { at : int; kind : kind }
-(** Fire network event [kind] at the [at]-th fault-eligible step of the
-    execution — the same step numbering as {!Fault.injection}, so network
-    and storage injections share one schedule space. *)
-
-type schedule = injection list
-
-val pp_injection : injection Fmt.t
-val pp_schedule : schedule Fmt.t
-val compare_injection : injection -> injection -> int
-val compare_schedule : schedule -> schedule -> int
-
-val enumerate : budget:int -> (int * kind list) list -> schedule list
-(** [enumerate ~budget sites] lists every network schedule drawing at most
-    [budget] events from [sites], a list of [(site_index, kinds_available)]
-    pairs — the network mirror of {!Fault.enumerate}: deterministic in the
-    input, duplicate-free (sites and kinds de-duplicated first), the empty
-    schedule first, and each dimension (loss, duplication, reordering,
-    delay) contributing independently. *)
-
-val to_fault_schedule : schedule -> Fault.schedule
-(** Embed a network schedule into the runner's fault-schedule oracle. *)
 
 (** {1 Channel state} *)
 
@@ -102,47 +54,32 @@ val pp : state Fmt.t
 (** {1 Program steps}
 
     Every step embeds the channel name in its label, so coverage sites are
-    per [(channel, event-kind)] and lanes show which channel an event hit. *)
-
-val chan_loc : string -> Footprint.loc
-(** The volatile footprint location of a channel ([Volatile ("net:"^ch)]). *)
+    per [(channel, event-kind)] and lanes show which channel an event hit.
+    Receives declare [Msg_reorder 1] — deliver the second waiting message
+    instead of the head — whenever at least two messages wait. *)
 
 val send_step :
   get:('w -> state) ->
   set:('w -> state -> 'w) ->
-  ?reliable:bool ->
   string ->
   Tslang.Value.t ->
   ('w, unit) Prog.t
-(** One send.  Unless [~reliable:true], declares [Drop] (message lost,
-    state unchanged) and [Dup] (enqueued twice) as adversary events. *)
-
-val recv_step :
-  get:('w -> state) ->
-  set:('w -> state -> 'w) ->
-  ?window:int ->
-  string ->
-  ('w, Tslang.Value.t) Prog.t
-(** Blocking receive: unschedulable while the channel is empty.  Declares
-    [Reorder k] for [1 <= k <= window] (default 1) when at least [k+1]
-    messages wait.  No [Delay] event: delaying delivery to a receiver
-    willing to wait forever is subsumed by the scheduler not running it. *)
+(** One send.  Declares [Msg_drop] (message lost, state unchanged) and
+    [Msg_dup] (enqueued twice) as adversary events. *)
 
 val try_recv_step :
   get:('w -> state) ->
   set:('w -> state -> 'w) ->
-  ?window:int ->
   string ->
   ('w, Tslang.Value.t option) Prog.t
 (** Non-blocking receive with a timeout outcome: an empty channel returns
-    [None] (the caller's timeout fired).  Declares [Delay] — timeout fires
-    even though a message IS queued, delivery delayed past the deadline —
-    and [Reorder] like {!recv_step}. *)
+    [None] (the caller's timeout fired).  Declares [Msg_delay] — timeout
+    fires even though a message IS queued, delivery delayed past the
+    deadline — and [Msg_reorder 1]. *)
 
 val recv_until :
   get:('w -> state) ->
   set:('w -> state -> 'w) ->
-  ?window:int ->
   until:('w -> bool) ->
   ?until_reads:Footprint.loc list ->
   string ->
@@ -150,4 +87,7 @@ val recv_until :
 (** Server-loop receive: blocks until a message arrives ([Some m]) or the
     harness-level [until] predicate holds with the channel drained ([None]
     — orderly shutdown).  [until_reads] lists the locations [until] reads,
-    so DPOR keeps the step ordered against whatever changes them. *)
+    so DPOR keeps the step ordered against whatever changes them.  With an
+    [until] that never holds this is a plain blocking receive.  No
+    [Msg_delay] event: delaying delivery to a receiver willing to wait is
+    subsumed by the scheduler not running it. *)

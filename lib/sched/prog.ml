@@ -89,8 +89,3 @@ let span ?(cat = "") name p =
 let rec strip_marks : type a. ('w, a) t -> ('w, a) t = function
   | Mark (_, p) -> strip_marks p
   | p -> p
-
-let rec label_of : type a. ('w, a) t -> string option = function
-  | Done _ -> None
-  | Mark (_, p) -> label_of p
-  | Atomic { label; _ } -> Some label

@@ -107,7 +107,3 @@ val span : ?cat:string -> string -> ('w, 'a) t -> ('w, 'a) t
 val strip_marks : ('w, 'a) t -> ('w, 'a) t
 (** Drop any leading marks, exposing [Done] or [Atomic].  Interpreters
     that do not consume marks must call this before matching. *)
-
-val label_of : ('w, 'a) t -> string option
-(** Label of the next step, if the program is not finished. *)
-

@@ -13,7 +13,7 @@ type 'w outcome = {
   steps : int;
   per_thread_steps : int array;
   context_switches : int;
-  injected : (int * Fault.kind) list;
+  injected : Fault.schedule;
 }
 
 exception Undefined_behaviour of string
@@ -153,7 +153,7 @@ let run ?(policy = Round_robin) ?(max_steps = 1_000_000) ?(fault_schedule = [])
                   fault_schedule
               with
               | Some inj when commit_fault inj.kind ->
-                injected := (here, inj.kind) :: !injected;
+                injected := inj :: !injected;
                 true
               | Some _ | None -> false
             end

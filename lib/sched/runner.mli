@@ -2,8 +2,10 @@
 
     Where the refinement checker explores *all* schedules, the runner picks
     one — round-robin, seeded-random, or an explicit thread sequence — and
-    runs it to completion.  Used by the examples, the stress tests, and for
-    replaying counterexample traces from the checker. *)
+    runs it to completion.  Used by the examples, the KVS REPL server, the
+    bench harnesses (the WAL sweep, the fs-stack perf workload), and the
+    tests, which replay a chosen storage or network fault schedule through
+    [?fault_schedule] and record each storage op's steps. *)
 
 type policy =
   | Round_robin
@@ -25,8 +27,9 @@ type 'w outcome = {
   per_thread_steps : int array;  (** steps committed by each thread *)
   context_switches : int;
       (** times the scheduler ran a different thread than the previous step *)
-  injected : (int * Fault.kind) list;
-      (** faults actually fired, as (site index, kind) in execution order *)
+  injected : Fault.schedule;
+      (** faults actually fired, in execution order: the sub-schedule of
+          [?fault_schedule] whose steps declared the named kind *)
 }
 
 exception Undefined_behaviour of string

@@ -1,6 +1,4 @@
 (* The fault-injection layer end to end:
-   - [Fault.enumerate]: determinism, duplicate-freedom (qcheck), budget
-     semantics;
    - the runner's injection oracle ([?fault_schedule]);
    - exhaustive fault×crash refinement for the retry/degradation paths of
      the replicated disk, the journal and the KV store (fault budget 2);
@@ -21,45 +19,6 @@ module Block = Disk.Block
 let bv s = Block.to_value (Block.of_string s)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule enumeration                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_enumerate_budget () =
-  (* budget 0: only the empty schedule, whatever the sites *)
-  Alcotest.(check int) "budget 0" 1
-    (List.length (F.enumerate ~budget:0 [ (0, [ F.Read_error ]); (1, [ F.Write_error ]) ]));
-  (* one site, one kind: empty + the injection *)
-  Alcotest.(check int) "one site" 2
-    (List.length (F.enumerate ~budget:1 [ (0, [ F.Read_error ]) ]));
-  (* two sites x two kinds, budget 1: empty + 4 singletons *)
-  let sites = [ (0, [ F.Read_error; F.Write_error ]); (1, [ F.Read_error; F.Write_error ]) ] in
-  Alcotest.(check int) "budget 1" 5 (List.length (F.enumerate ~budget:1 sites));
-  (* budget 2 adds the 4 cross-site pairs *)
-  Alcotest.(check int) "budget 2" 9 (List.length (F.enumerate ~budget:2 sites));
-  (* the empty schedule comes first *)
-  Alcotest.(check bool) "empty first" true (List.hd (F.enumerate ~budget:2 sites) = [])
-
-let site_gen =
-  QCheck.Gen.(
-    list_size (int_bound 4)
-      (pair (int_bound 5)
-         (list_size (int_bound 3)
-            (oneofl [ F.Read_error; F.Write_error; F.Torn_write 1; F.Disk_offline ]))))
-
-let prop_enumerate_deterministic =
-  QCheck.Test.make ~count:200 ~name:"fault enumeration deterministic"
-    (QCheck.make site_gen) (fun sites ->
-      let a = F.enumerate ~budget:2 sites in
-      let b = F.enumerate ~budget:2 sites in
-      List.equal (fun x y -> F.compare_schedule x y = 0) a b)
-
-let prop_enumerate_duplicate_free =
-  QCheck.Test.make ~count:200 ~name:"fault enumeration duplicate-free"
-    (QCheck.make site_gen) (fun sites ->
-      let a = F.enumerate ~budget:2 sites in
-      List.length (List.sort_uniq F.compare_schedule a) = List.length a)
-
-(* ------------------------------------------------------------------ *)
 (* The runner's injection oracle                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -76,7 +35,7 @@ let test_runner_oracle () =
   in
   Alcotest.(check bool) "retried read still succeeds" true (o.Sched.Runner.results.(0) = bv "0");
   Alcotest.(check bool) "one fault fired" true
-    (o.Sched.Runner.injected = [ (0, F.Read_error) ]);
+    (o.Sched.Runner.injected = [ { F.at = 0; kind = F.Read_error } ]);
   (* injections naming an undeclared kind are skipped *)
   let o =
     Sched.Runner.run ~fault_schedule:[ { F.at = 0; kind = F.Torn_write 7 } ] w
@@ -201,9 +160,6 @@ let test_max_seconds () =
 
 let suite =
   [
-    Alcotest.test_case "enumerate: budget semantics" `Quick test_enumerate_budget;
-    QCheck_alcotest.to_alcotest prop_enumerate_deterministic;
-    QCheck_alcotest.to_alcotest prop_enumerate_duplicate_free;
     Alcotest.test_case "runner: injection oracle" `Quick test_runner_oracle;
     Alcotest.test_case "rd: ft ops hold (faults 2, crash)" `Quick test_rd_ft_holds;
     Alcotest.test_case "journal: ft commit holds (faults 2, crash)" `Quick

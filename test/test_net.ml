@@ -1,9 +1,9 @@
 (* The network adversary and the exactly-once RPC stack end to end:
    - the [Net] channel-state model (canonical queues, crash clearing);
-   - the [Net.kind] embedding into [Fault.kind] and the runner's
-     injection oracle replaying network schedules;
-   - [Net.enumerate]: determinism, duplicate-freedom, budget monotonicity
-     and dimension independence (qcheck);
+   - the runner's injection oracle replaying network schedules, written
+     as [Fault.Msg_*] injections like any storage fault schedule;
+   - the checker's own count of distinct network schedules, pinned at
+     fault budgets 0/1/2 under every strategy;
    - exhaustive network x crash refinement for the exactly-once contract:
      retries, reply-cache hits, contention, cross-shard routing, the
      epoch-fenced lease RMW, and the journal-hosted shards;
@@ -61,89 +61,6 @@ let test_state_model () =
   (* crash: every in-flight message is lost *)
   Alcotest.(check bool) "clear = empty" true (Net.equal (Net.clear s) Net.empty)
 
-let test_kind_embedding () =
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        ("roundtrip " ^ Net.kind_name k)
-        true
-        (Net.of_fault (Net.to_fault k) = Some k))
-    [ Net.Drop; Net.Dup; Net.Reorder 1; Net.Reorder 3; Net.Delay ];
-  Alcotest.(check bool) "storage faults are not network kinds" true
-    (Net.of_fault F.Read_error = None);
-  Alcotest.(check bool) "schedule embedding preserves sites" true
-    (Net.to_fault_schedule [ { Net.at = 2; kind = Net.Dup }; { Net.at = 0; kind = Net.Drop } ]
-    = [ { F.at = 2; kind = F.Msg_dup }; { F.at = 0; kind = F.Msg_drop } ])
-
-(* ------------------------------------------------------------------ *)
-(* Schedule enumeration                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_enumerate_budget () =
-  (* budget 0: only the empty schedule *)
-  Alcotest.(check int) "budget 0" 1
-    (List.length (Net.enumerate ~budget:0 [ (0, [ Net.Drop ]); (1, [ Net.Dup ]) ]));
-  (* one site, one kind: empty + the injection *)
-  Alcotest.(check int) "one site" 2 (List.length (Net.enumerate ~budget:1 [ (0, [ Net.Drop ]) ]));
-  (* two sites x two kinds, budget 1: empty + 4 singletons *)
-  let sites = [ (0, [ Net.Drop; Net.Dup ]); (1, [ Net.Drop; Net.Dup ]) ] in
-  Alcotest.(check int) "budget 1" 5 (List.length (Net.enumerate ~budget:1 sites));
-  (* budget 2 adds the 4 cross-site pairs *)
-  Alcotest.(check int) "budget 2" 9 (List.length (Net.enumerate ~budget:2 sites));
-  Alcotest.(check bool) "empty first" true (List.hd (Net.enumerate ~budget:2 sites) = [])
-
-let net_site_gen =
-  QCheck.Gen.(
-    list_size (int_bound 4)
-      (pair (int_bound 5)
-         (list_size (int_bound 3) (oneofl [ Net.Drop; Net.Dup; Net.Reorder 1; Net.Delay ]))))
-
-let prop_enumerate_deterministic =
-  QCheck.Test.make ~count:200 ~name:"net enumeration deterministic"
-    (QCheck.make net_site_gen) (fun sites ->
-      let a = Net.enumerate ~budget:2 sites in
-      let b = Net.enumerate ~budget:2 sites in
-      List.equal (fun x y -> Net.compare_schedule x y = 0) a b)
-
-let prop_enumerate_duplicate_free =
-  QCheck.Test.make ~count:200 ~name:"net enumeration duplicate-free"
-    (QCheck.make net_site_gen) (fun sites ->
-      let a = Net.enumerate ~budget:2 sites in
-      List.length (List.sort_uniq Net.compare_schedule a) = List.length a)
-
-let prop_enumerate_budget_monotone =
-  QCheck.Test.make ~count:200 ~name:"net enumeration budget-monotone"
-    (QCheck.make net_site_gen) (fun sites ->
-      let small = Net.enumerate ~budget:1 sites in
-      let large = Net.enumerate ~budget:2 sites in
-      List.for_all
-        (fun s -> List.exists (fun t -> Net.compare_schedule s t = 0) large)
-        small)
-
-(* Each adversary dimension contributes independently: the singleton
-   schedules at budget 1 are exactly the distinct (site, kind) pairs of
-   the canonicalized input (sites de-duplicated by index, kinds per
-   site), no kind masking or merging with another. *)
-let prop_enumerate_dimensions_independent =
-  QCheck.Test.make ~count:200 ~name:"net enumeration dimensions independent"
-    (QCheck.make net_site_gen) (fun sites ->
-      let singletons =
-        List.filter (fun s -> List.length s = 1) (Net.enumerate ~budget:1 sites)
-      in
-      let canonical =
-        List.sort_uniq
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (List.map (fun (at, ks) -> (at, List.sort_uniq Net.compare_kind ks)) sites)
-      in
-      let pairs =
-        List.concat_map (fun (at, kinds) -> List.map (fun k -> (at, k)) kinds) canonical
-      in
-      List.length singletons = List.length pairs
-      && List.for_all
-           (fun (at, kind) ->
-             List.exists (fun s -> s = [ { Net.at; kind } ]) singletons)
-           pairs)
-
 (* ------------------------------------------------------------------ *)
 (* The runner's injection oracle replays network schedules              *)
 (* ------------------------------------------------------------------ *)
@@ -165,46 +82,88 @@ let test_runner_oracle () =
   Alcotest.(check bool) "no events fired" true (o.Sched.Runner.injected = []);
   (* Drop at the send: the receive times out, nothing in flight *)
   let o =
-    Sched.Runner.run ~fault_schedule:(Net.to_fault_schedule [ { Net.at = 0; kind = Net.Drop } ])
-      Net.empty
+    Sched.Runner.run ~fault_schedule:[ { F.at = 0; kind = F.Msg_drop } ] Net.empty
       [ send_then_try "ch" ]
   in
   Alcotest.(check bool) "dropped: timeout" true (o.Sched.Runner.results.(0) = V.str "timeout");
   Alcotest.(check bool) "dropped: channel empty" true (Net.is_empty o.Sched.Runner.world);
-  Alcotest.(check bool) "drop fired" true (o.Sched.Runner.injected = [ (0, F.Msg_drop) ]);
+  Alcotest.(check bool) "drop fired" true
+    (o.Sched.Runner.injected = [ { F.at = 0; kind = F.Msg_drop } ]);
   (* Dup at the send: the receive consumes one copy, one stays in flight *)
   let o =
-    Sched.Runner.run ~fault_schedule:(Net.to_fault_schedule [ { Net.at = 0; kind = Net.Dup } ])
-      Net.empty
+    Sched.Runner.run ~fault_schedule:[ { F.at = 0; kind = F.Msg_dup } ] Net.empty
       [ send_then_try "ch" ]
   in
   Alcotest.(check bool) "dup: delivered" true (o.Sched.Runner.results.(0) = V.int 1);
   Alcotest.(check int) "dup: one copy left" 1 (Net.length "ch" o.Sched.Runner.world);
   (* Delay at the receive: timeout fires even though the message IS queued *)
   let o =
-    Sched.Runner.run ~fault_schedule:(Net.to_fault_schedule [ { Net.at = 1; kind = Net.Delay } ])
-      Net.empty
+    Sched.Runner.run ~fault_schedule:[ { F.at = 1; kind = F.Msg_delay } ] Net.empty
       [ send_then_try "ch" ]
   in
   Alcotest.(check bool) "delay: timeout" true (o.Sched.Runner.results.(0) = V.str "timeout");
   Alcotest.(check int) "delay: message still queued" 1 (Net.length "ch" o.Sched.Runner.world);
-  (* Reorder at a 2-deep receive: the second message overtakes the head *)
+  (* Reorder at a 2-deep blocking receive (an [until] that never holds):
+     the second message overtakes the head *)
   let two_then_recv =
     let open P.Syntax in
     let* () = Net.send_step ~get:nget ~set:nset "ch" (V.int 1) in
     let* () = Net.send_step ~get:nget ~set:nset "ch" (V.int 2) in
-    Net.recv_step ~get:nget ~set:nset "ch"
+    let* r = Net.recv_until ~get:nget ~set:nset ~until:(fun _ -> false) "ch" in
+    P.return (Option.get r)
   in
   let o = Sched.Runner.run Net.empty [ two_then_recv ] in
   Alcotest.(check bool) "in order by default" true (o.Sched.Runner.results.(0) = V.int 1);
   let o =
-    Sched.Runner.run
-      ~fault_schedule:(Net.to_fault_schedule [ { Net.at = 2; kind = Net.Reorder 1 } ])
-      Net.empty [ two_then_recv ]
+    Sched.Runner.run ~fault_schedule:[ { F.at = 2; kind = F.Msg_reorder 1 } ] Net.empty
+      [ two_then_recv ]
   in
   Alcotest.(check bool) "reordered delivery" true (o.Sched.Runner.results.(0) = V.int 2);
   Alcotest.(check bool) "reorder fired" true
-    (o.Sched.Runner.injected = [ (2, F.Msg_reorder 1) ])
+    (o.Sched.Runner.injected = [ { F.at = 2; kind = F.Msg_reorder 1 } ])
+
+(* The checker is the one schedule enumerator: it branches on fault points
+   as it explores and counts each distinct non-empty schedule of a
+   completed execution once.  [send_then_try] has two fault-eligible steps
+   — the send (site 0: drop, dup) and, when a message waits, the receive
+   (site 1: delay with one or more queued, reorder(1) with two or more).
+   By hand:
+   - budget 0: no fault fires, so no schedule is counted: 0;
+   - budget 1: [0:drop] (the receive then sees an empty channel and
+     declares nothing), [0:dup] (budget spent), and [1:delay] after a
+     clean send (one message queued, so no reorder): 3;
+   - budget 2: those three, plus the two the receive adds after a dup
+     (two queued): [0:dup; 1:delay] and [0:dup; 1:reorder(1)]: 5.
+   Crash points add executions but no schedule: faults fire only in the
+   main phase, and every fault point also has a normal branch, so the
+   schedule up to any crash point is already one of the above.  The one
+   thread has nothing to reorder, so every strategy explores the same
+   schedules. *)
+let test_schedule_count () =
+  let spec : unit Tslang.Spec.t =
+    {
+      Tslang.Spec.name = "send-then-try";
+      init = ();
+      compare_state = compare;
+      pp_state = Fmt.any "()";
+      step = (fun _ _ -> Tslang.Transition.choose [ V.int 1; V.str "timeout" ]);
+      crash = Tslang.Transition.ret ();
+    }
+  in
+  let cfg fault_budget =
+    R.config ~spec ~init_world:Net.empty ~crash_world:Net.clear ~pp_world:Net.pp
+      ~threads:[ [ (Tslang.Spec.call "send_then_try" [], send_then_try "ch") ] ]
+      ~recovery:(P.return V.unit) ~fault_budget ()
+  in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun (budget, expected) ->
+          let name = Printf.sprintf "%s at budget %d" (E.strategy_name strategy) budget in
+          let stats = Verdict.holds name (R.check ~strategy (cfg budget)) in
+          Alcotest.(check int) (name ^ ": fault schedules") expected stats.R.fault_schedules)
+        [ (0, 0); (1, 3); (2, 5) ])
+    E.all_strategies
 
 (* A dropped request against the full client/server stack: the retry makes
    the call succeed, deterministically replayable. *)
@@ -216,12 +175,11 @@ let test_drop_retry_oracle () =
     snd SK.bye_call
   in
   let o =
-    Sched.Runner.run ~fault_schedule:(Net.to_fault_schedule [ { Net.at = 0; kind = Net.Drop } ])
-      (SK.init_world p)
+    Sched.Runner.run ~fault_schedule:[ { F.at = 0; kind = F.Msg_drop } ] (SK.init_world p)
       [ client; snd (SK.srv_call p 0) ]
   in
   Alcotest.(check bool) "request drop fired" true
-    (List.mem (0, F.Msg_drop) o.Sched.Runner.injected);
+    (List.mem { F.at = 0; kind = F.Msg_drop } o.Sched.Runner.injected);
   Alcotest.(check bool) "client retried" true
     (List.exists (fun (_, l) -> l = "retry_rpc(put#1)") o.Sched.Runner.trace);
   Alcotest.(check bool) "the retried put landed" true
@@ -403,13 +361,8 @@ let test_golden_bug_no_fence = golden Cat.net_no_fence
 let suite =
   [
     Alcotest.test_case "net: channel state model" `Quick test_state_model;
-    Alcotest.test_case "net: fault-kind embedding" `Quick test_kind_embedding;
-    Alcotest.test_case "net: enumerate budget semantics" `Quick test_enumerate_budget;
-    QCheck_alcotest.to_alcotest prop_enumerate_deterministic;
-    QCheck_alcotest.to_alcotest prop_enumerate_duplicate_free;
-    QCheck_alcotest.to_alcotest prop_enumerate_budget_monotone;
-    QCheck_alcotest.to_alcotest prop_enumerate_dimensions_independent;
     Alcotest.test_case "net: runner injection oracle" `Quick test_runner_oracle;
+    Alcotest.test_case "net: checker counts each schedule once" `Quick test_schedule_count;
     Alcotest.test_case "rpc: dropped request retried (oracle)" `Quick test_drop_retry_oracle;
     Alcotest.test_case "rpc: exactly-once inc holds (net 1, crash)" `Quick
       test_exactly_once_holds;

@@ -33,7 +33,7 @@ let spans () =
       | Complete _ | Instant -> None)
     (Obs.Trace.memory_events ())
 
-let pp_injection ppf (at, kind) = Fmt.pf ppf "%d:%a" at F.pp_kind kind
+let pp_injection ppf (i : F.injection) = Fmt.pf ppf "%d:%a" i.at F.pp_kind i.kind
 
 (* Run [prog] alone on [w] under [schedule] and write the run, unless
    some injection did not fire: schedules naming a kind the site does not
