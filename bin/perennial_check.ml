@@ -47,10 +47,12 @@
                  reports budget exhaustion instead of hanging.
    --domains N   run every exhaustive check on N domains (OCaml 5
                  multicore).  Verdicts, counterexamples and stats are
-                 identical to the sequential run; only wall time changes.
-   --fingerprint hash-consed state fingerprinting: prune subtrees whose
-                 canonical state was already explored (naive strategy
-                 only — the checker rejects it under dpor).
+                 identical at every domain count, --domains 1 included;
+                 only wall time changes.  They may differ from a run
+                 without --domains (see Refinement.check).
+   --fingerprint state fingerprinting: prune subtrees whose canonical
+                 state was already explored in the same check (naive
+                 strategy only — the checker rejects it under dpor).
    --symmetry    additionally canonicalize interchangeable threads before
                  fingerprinting (implies --fingerprint). *)
 
@@ -66,10 +68,10 @@ let failed = ref 0
 let max_secs : float option ref = ref None
 
 (* --domains: run every exhaustive check on N domains (same verdicts and
-   stats as sequential; see Refinement.check) *)
+   stats at every N; see Refinement.check) *)
 let domains : int option ref = ref None
 
-(* --fingerprint / --symmetry: hash-consed state pruning (naive strategy) *)
+(* --fingerprint / --symmetry: fingerprint pruning (naive strategy) *)
 let fingerprint = ref false
 let symmetry = ref false
 

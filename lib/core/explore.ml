@@ -138,8 +138,8 @@ module Prov = struct
   let entries () =
     with_lock (fun () ->
         Hashtbl.fold (fun (rule, site, w) r acc -> (rule, site, w, !r) :: acc) table [])
-    |> List.sort (fun (_, s1, _, n1) (_, s2, _, n2) ->
-           match compare n2 n1 with 0 -> compare s1 s2 | c -> c)
+    |> List.sort (fun (r1, s1, w1, n1) (r2, s2, w2, n2) ->
+           compare (n2, s1, rule_name r1, w1) (n1, s2, rule_name r2, w2))
 
   let total () = with_lock (fun () -> Hashtbl.fold (fun _ r acc -> acc + !r) table 0)
 

@@ -84,9 +84,6 @@ val node : sleep:int list -> 'w step_info list -> 'w node
     prefers a non-visible, non-sleeping thread; if every enabled thread is
     asleep the backtrack set starts empty and the node is pruned. *)
 
-val add_backtrack : 'w node -> int -> unit
-val enabled_at : 'w node -> int -> bool
-
 val detect_races : 'w frame list -> 'w node -> unit
 (** For each enabled step of the node, find the most recent dependent,
     may-be-co-enabled step by another thread on the path (newest frame
@@ -107,7 +104,6 @@ module Prov : sig
     | Sleep  (** step skipped by its sleep set *)
     | Clean_crash  (** crash branch skipped at a clean (non-dirty) node *)
 
-  val rule_name : rule -> string
   val enabled : unit -> bool
   val set_enabled : bool -> unit
   val reset : unit -> unit
@@ -118,7 +114,8 @@ module Prov : sig
       disabled. *)
 
   val entries : unit -> (rule * string * string option * int) list
-  (** Ranked by count, descending. *)
+  (** Ranked by count, descending; ties by site, rule name, then witness,
+      so the order never depends on which domain recorded first. *)
 
   val total : unit -> int
   val pp_report : Format.formatter -> unit -> unit

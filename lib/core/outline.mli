@@ -53,8 +53,6 @@ type system = {
   crash_invs : (string * A.t) list;  (** named crash invariants *)
 }
 
-val find_op : system -> string -> sym_op option
-
 (** {1 Outline language} *)
 
 type cmd =

@@ -940,17 +940,17 @@ let run_instance (type w s) (cfg : (w, s) config) ~mode ~fault_budget ~deadline 
        environment — serialize too.  Equal keys mean structurally identical
        continuations, hence identical future behaviour; distinct keys for
        behaviourally equal threads only cost pruning, never soundness.  Code
-       pointers are stable within a process (and across its domains), which is
-       exactly the lifetime of the intern table's relevance. *)
+       pointers are stable within a process (and across its domains), which
+       outlives the one check a seen-set serves. *)
     let thread_key l =
       Digest.to_hex
         (Digest.string (Marshal.to_string (l.call, l.prog, l.rest) [ Marshal.Closures ]))
     in
     let vstr v = Fmt.str "%a" V.pp v in
-    let fp_seen : (int, unit) Hashtbl.t = Hashtbl.create (if fp <> None then 4096 else 1) in
-    (* Global fingerprint pruning (DESIGN.md S21): at a settled node, digest
+    let fp_seen : (string, unit) Hashtbl.t = Hashtbl.create (if fp <> None then 4096 else 1) in
+    (* Global fingerprint pruning (DESIGN.md S21): at a settled node, render
        everything the subtree is a function of; if this instance has
-       explored an equal digest before, the whole subtree (crash branch
+       explored an equal rendering before, the whole subtree (crash branch
        included) is redundant.  Naive strategy only — under DPOR the
        backtrack sets of the pruned path's nodes would be lost. *)
     let fp_prune w lives cands crashes fused fsite =
@@ -977,24 +977,22 @@ let run_instance (type w s) (cfg : (w, s) config) ~mode ~fault_budget ~deadline 
                         c.pend;
                   })
                 cands;
-            f_phase = "main";
             f_crashes = crashes;
             f_fused = fused;
             f_fsite = fsite;
             f_threads =
               List.map
-                (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l; f_hist = [] })
+                (fun l -> { Fingerprint.f_tid = l.tid; f_class = thread_key l })
                 (List.sort (fun a b -> Int.compare a.tid b.tid) lives);
           }
         in
-        let t, _fresh = Fingerprint.digest ~symmetry st in
-        let id = Fingerprint.id t in
-        if Hashtbl.mem fp_seen id then begin
+        let key = Fingerprint.canonical ~symmetry st in
+        if Hashtbl.mem fp_seen key then begin
           ctr.c_fp_hits <- ctr.c_fp_hits + 1;
           true
         end
         else begin
-          Hashtbl.add fp_seen id ();
+          Hashtbl.add fp_seen key ();
           ctr.c_fp_misses <- ctr.c_fp_misses + 1;
           false
         end

@@ -199,9 +199,9 @@ val check :
     sleep sets), so a parallel DPOR run may explore {e more} executions
     than a sequential one — but the same number at any two domain counts.
 
-    {b Fingerprint pruning.}  [~fingerprint:true] digests every settled
-    node with {!Fingerprint.digest} and prunes the subtree when an equal
-    digest was already explored in this check ([fingerprint_hits] /
+    {b Fingerprint pruning.}  [~fingerprint:true] renders every settled
+    node with {!Fingerprint.canonical} and prunes the subtree when an equal
+    rendering was already explored in this check ([fingerprint_hits] /
     [fingerprint_misses] in {!stats}).  Sound for the verdict — equal
     fingerprints have identical subtrees (DESIGN.md §S21) — and requires
     the {!Explore.Naive} strategy ([Invalid_argument] otherwise): pruning
@@ -211,7 +211,7 @@ val check :
     on timing), so parallel fingerprint runs prune less than sequential
     ones but stay deterministic.  [~symmetry:true] (requires
     [~fingerprint:true]) additionally canonicalizes interchangeable
-    threads before digesting; see {!Fingerprint.canonical} for the
+    threads before rendering; see {!Fingerprint.canonical} for the
     obligations. *)
 
 val check_exn :

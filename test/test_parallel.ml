@@ -12,13 +12,13 @@
      DFS);
    - the golden counterexamples of test/golden/ stay byte-identical when
      found by a parallel run;
-   - qcheck properties for the fingerprint canonicalizer: token-renaming
-     idempotence and permutation-invariance, thread-relabeling invariance
-     under symmetry, injectivity smoke, and digest stability across
-     structurally-equal states (nothing physical leaks into the key);
+   - qcheck properties for the fingerprint canonicalizer: thread-relabeling
+     invariance under symmetry, injectivity smoke, and equal renderings of
+     structurally-equal states (nothing physical leaks into the string);
    - fingerprint pruning never changes a verdict, prunes for real on the
-     kvs instances, and the symmetry quotient prunes at least as hard on
-     instances with interchangeable threads;
+     kvs instances, the symmetry quotient prunes at least as hard on
+     instances with interchangeable threads, and a check's seen-set is
+     garbage once the check returns;
    - the obs layer survives a 4-domain hammer with exact totals
      (metrics registry, coverage table);
    - check_random with domains: same failing walk, same reason prefix, same
@@ -129,51 +129,6 @@ let test_bad_arguments () =
 (* qcheck: the fingerprint canonicalizer                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Strings over a small alphabet with embedded "k<digits>" tokens. *)
-let gen_tokenful_string =
-  QCheck.Gen.(
-    let frag =
-      oneof
-        [ map (fun i -> "k" ^ string_of_int i) (int_range 0 12);
-          oneofl [ "x"; ","; ";"; "|"; "put("; ")"; "k"; "" ] ]
-    in
-    map (String.concat "") (list_size (int_range 0 20) frag))
-
-let arb_tokenful = QCheck.make ~print:(fun s -> s) gen_tokenful_string
-
-let prop_rename_idempotent =
-  QCheck.Test.make ~name:"rename_tokens is idempotent" ~count:500 arb_tokenful (fun s ->
-      let r = Fpr.rename_tokens ~prefix:"k" s in
-      String.equal r (Fpr.rename_tokens ~prefix:"k" r))
-
-(* Renaming the token namespace through any injection leaves the canonical
-   form untouched: rename_tokens only looks at first-occurrence order. *)
-let prop_rename_permutation_invariant =
-  QCheck.Test.make ~name:"rename_tokens is token-permutation invariant" ~count:500
-    (QCheck.pair arb_tokenful QCheck.(int_range 1 9))
-    (fun (s, shift) ->
-      (* injective renaming: k<i> -> k<100 + (i * 13 + shift)> *)
-      let buf = Buffer.create (String.length s) in
-      let n = String.length s in
-      let i = ref 0 in
-      let digit c = c >= '0' && c <= '9' in
-      while !i < n do
-        if s.[!i] = 'k' && !i + 1 < n && digit s.[!i + 1] then begin
-          let j = ref (!i + 1) in
-          while !j < n && digit s.[!j] do incr j done;
-          let v = int_of_string (String.sub s (!i + 1) (!j - !i - 1)) in
-          Buffer.add_string buf (Printf.sprintf "k%d" (100 + (v * 13) + shift));
-          i := !j
-        end
-        else begin
-          Buffer.add_char buf s.[!i];
-          incr i
-        end
-      done;
-      String.equal
-        (Fpr.rename_tokens ~prefix:"k" s)
-        (Fpr.rename_tokens ~prefix:"k" (Buffer.contents buf)))
-
 (* Random fingerprint states: a handful of threads with classes drawn from
    a small set, pends over those threads, and short rendered worlds. *)
 let gen_state =
@@ -200,14 +155,13 @@ let gen_state =
     let* crashes = int_range 0 1 in
     let f_threads =
       List.map2
-        (fun tid cls -> { Fpr.f_tid = tid; f_class = cls; f_hist = [] })
+        (fun tid cls -> { Fpr.f_tid = tid; f_class = cls })
         tids classes
     in
     return
       {
         Fpr.f_world = world;
         f_cands = cands;
-        f_phase = "main";
         f_crashes = crashes;
         f_fused = 0;
         f_fsite = 0;
@@ -250,52 +204,6 @@ let prop_symmetry_relabel_invariant =
         (Fpr.canonical ~symmetry:true st)
         (Fpr.canonical ~symmetry:true (relabel perm st)))
 
-let prop_symmetry_key_rename_invariant =
-  QCheck.Test.make ~name:"canonical ~key_prefix is key-renaming invariant" ~count:300
-    arb_state (fun st ->
-      (* consistently rename k<i> -> k<i+7> everywhere a key can appear *)
-      let ren s =
-        let buf = Buffer.create (String.length s) in
-        let n = String.length s in
-        let digit c = c >= '0' && c <= '9' in
-        let i = ref 0 in
-        while !i < n do
-          if s.[!i] = 'k' && !i + 1 < n && digit s.[!i + 1] then begin
-            let j = ref (!i + 1) in
-            while !j < n && digit s.[!j] do incr j done;
-            let v = int_of_string (String.sub s (!i + 1) (!j - !i - 1)) in
-            Buffer.add_string buf (Printf.sprintf "k%d" (v + 7));
-            i := !j
-          end
-          else begin
-            Buffer.add_char buf s.[!i];
-            incr i
-          end
-        done;
-        Buffer.contents buf
-      in
-      let st' =
-        {
-          st with
-          Fpr.f_world = ren st.Fpr.f_world;
-          f_cands =
-            List.map
-              (fun c ->
-                {
-                  Fpr.f_state = ren c.Fpr.f_state;
-                  f_pend =
-                    List.map
-                      (fun pd ->
-                        { pd with Fpr.f_args = List.map ren pd.Fpr.f_args })
-                      c.Fpr.f_pend;
-                })
-              st.Fpr.f_cands;
-        }
-      in
-      String.equal
-        (Fpr.canonical ~symmetry:true ~key_prefix:"k" st)
-        (Fpr.canonical ~symmetry:true ~key_prefix:"k" st'))
-
 let prop_world_injective =
   QCheck.Test.make ~name:"distinct worlds never collide (no symmetry)" ~count:300
     (QCheck.pair arb_state arb_state)
@@ -320,31 +228,14 @@ let prop_digest_stable =
                   f_pend = List.map (fun pd -> { pd with Fpr.f_op = "op" }) c.Fpr.f_pend;
                 })
               st.Fpr.f_cands;
-          f_phase = "main";
           f_crashes = st.Fpr.f_crashes;
           f_fused = st.Fpr.f_fused;
           f_fsite = st.Fpr.f_fsite;
           f_threads = List.map (fun t -> { t with Fpr.f_tid = t.Fpr.f_tid }) st.Fpr.f_threads;
         }
       in
-      let t1, _ = Fpr.digest st in
-      let t2, fresh2 = Fpr.digest copy in
-      Fpr.equal t1 t2 && Fpr.id t1 = Fpr.id t2 && not fresh2)
-
-let test_intern_semantics () =
-  Fpr.reset ();
-  let t1, fresh1 = Fpr.intern "alpha" in
-  let t2, fresh2 = Fpr.intern "alpha" in
-  let t3, fresh3 = Fpr.intern "beta" in
-  Alcotest.(check bool) "first intern is fresh" true fresh1;
-  Alcotest.(check bool) "second intern is stale" false fresh2;
-  Alcotest.(check bool) "distinct string is fresh" true fresh3;
-  Alcotest.(check int) "stable id" (Fpr.id t1) (Fpr.id t2);
-  Alcotest.(check bool) "distinct ids" true (Fpr.id t1 <> Fpr.id t3);
-  Alcotest.(check string) "key round-trips" "alpha" (Fpr.key t1);
-  Alcotest.(check int) "table size" 2 (Fpr.table_size ());
-  Fpr.reset ();
-  Alcotest.(check int) "reset empties" 0 (Fpr.table_size ())
+      String.equal (Fpr.canonical st) (Fpr.canonical copy)
+      && String.equal (Fpr.canonical ~symmetry:true st) (Fpr.canonical ~symmetry:true copy))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint pruning on the real checker                             *)
@@ -413,6 +304,27 @@ let test_symmetry_reduction () =
     "symmetry still catches the unlocked writers"
     (R.verdict_name (R.check buggy))
     (R.verdict_name (R.check ~fingerprint:true ~symmetry:true buggy))
+
+(* A check's seen-set dies with the check: once it returns, nothing it
+   rendered stays reachable.  The nonce in every rendered world keeps any
+   state this process rendered before from matching. *)
+let test_fingerprint_no_leak () =
+  let nonce = Printf.sprintf "leak-%.6f|" (Unix.gettimeofday ()) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let check cfg =
+    let pp_world ppf w = Fmt.pf ppf "%s%a" nonce cfg.R.pp_world w in
+    let before = live () in
+    let st = R.stats_of (R.check ~fingerprint:true { cfg with R.pp_world }) in
+    let grown = live () - before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d words still live after %d misses" grown st.R.fingerprint_misses)
+      true
+      (grown < st.R.fingerprint_misses)
+  in
+  C.on_config { C.f = check } C.net_inc
 
 (* ------------------------------------------------------------------ *)
 (* Obs layer under domains: exact totals                               *)
@@ -550,16 +462,14 @@ let suite =
     Alcotest.test_case "domains: fault schedules" `Quick test_domains_faults;
     Alcotest.test_case "domains: golden counterexamples" `Quick test_domains_golden;
     Alcotest.test_case "domains: argument validation" `Quick test_bad_arguments;
-    QCheck_alcotest.to_alcotest prop_rename_idempotent;
-    QCheck_alcotest.to_alcotest prop_rename_permutation_invariant;
     QCheck_alcotest.to_alcotest prop_symmetry_relabel_invariant;
-    QCheck_alcotest.to_alcotest prop_symmetry_key_rename_invariant;
     QCheck_alcotest.to_alcotest prop_world_injective;
     QCheck_alcotest.to_alcotest prop_digest_stable;
-    Alcotest.test_case "fingerprint: intern semantics" `Quick test_intern_semantics;
     Alcotest.test_case "fingerprint: differential vs plain" `Quick
       test_fingerprint_differential;
     Alcotest.test_case "fingerprint: symmetry reduction" `Quick test_symmetry_reduction;
+    Alcotest.test_case "fingerprint: nothing outlives the check" `Quick
+      test_fingerprint_no_leak;
     Alcotest.test_case "obs: metrics 4-domain hammer" `Quick test_metrics_hammer;
     Alcotest.test_case "obs: coverage 4-domain hammer" `Quick test_coverage_hammer;
     Alcotest.test_case "random: domains determinism + replay" `Quick test_random_domains;

@@ -11,6 +11,9 @@
      domains, so neither the candidate tracker's bookkeeping
      ([dedup_hits], [max_candidates], [vacuous]) nor the exploration
      policies can drift;
+   - the whole [stats] record of fingerprint-pruned checks, plain, under
+     the symmetry quotient and on two domains, so no change to the
+     canonical rendering can move a hit or a miss;
    - the whole [stats] record of seeded random walks, and the failure text
      of one, so every [seed=S schedule=I/N] keeps naming the same walk;
    - undefined behaviour reported on the same path by every strategy.
@@ -27,6 +30,7 @@ module K = Journal.Kvs
 module Fs = Perennial_fs.Fs
 module FL = Perennial_fs.Layout
 module SK = Dist.Shard_kv
+module C = Perennial_catalog.Catalog
 
 let b = Disk.Block.of_string
 let bv s = Disk.Block.to_value (b s)
@@ -146,11 +150,11 @@ let stats_pin name run pins =
 let stats ~executions ~steps ~crashes_injected ~vacuous ~max_candidates ~dedup_hits
     ~frontier_hwm ?(commutations_pruned = 0) ?(sleep_skips = 0) ?(crash_skips = 0)
     ?(faults_injected = 0) ?(fault_schedules = 0) ?(retries_observed = 0)
-    ?(cache_hits = 0) () =
+    ?(cache_hits = 0) ?(fingerprint_hits = 0) ?(fingerprint_misses = 0) () =
   { R.executions; steps; crashes_injected; vacuous; max_candidates; dedup_hits;
     frontier_hwm; commutations_pruned; sleep_skips; crash_skips; faults_injected;
-    fault_schedules; retries_observed; cache_hits; fingerprint_hits = 0;
-    fingerprint_misses = 0 }
+    fault_schedules; retries_observed; cache_hits; fingerprint_hits;
+    fingerprint_misses }
 
 let test_stats_net_contention () =
   let p = SK.params ~n_keys:1 ~n_clients:2 ~retries:0 () in
@@ -295,6 +299,37 @@ let test_stats_kvs_ft () =
          ~max_candidates:4 ~dedup_hits:117 ~frontier_hwm:20 ~crash_skips:159
          ~faults_injected:28 ~fault_schedules:28 ~retries_observed:22 ()) ]
 
+(* Fingerprint pruning: the seen-set decides every hit and miss, so the
+   whole record pins the canonical rendering's equalities — plain, under the
+   symmetry quotient, and with one seen-set per work item on two domains. *)
+let test_stats_fingerprint () =
+  let pin name run expected =
+    Alcotest.(check string) (name ^ ": stats") (show expected) (show (holding name (run ())))
+  in
+  pin "kvs put || get, fingerprint"
+    (fun () -> C.run ~fingerprint:true C.kvs_put_get)
+    (stats ~executions:41 ~steps:432 ~crashes_injected:40 ~vacuous:0 ~max_candidates:4
+       ~dedup_hits:48 ~frontier_hwm:17 ~fingerprint_hits:9 ~fingerprint_misses:40 ());
+  pin "kvs put || get, fingerprint + symmetry"
+    (fun () -> C.run ~fingerprint:true ~symmetry:true C.kvs_put_get)
+    (stats ~executions:41 ~steps:432 ~crashes_injected:40 ~vacuous:0 ~max_candidates:4
+       ~dedup_hits:48 ~frontier_hwm:17 ~fingerprint_hits:9 ~fingerprint_misses:40 ());
+  pin "net inc, fingerprint domains=2"
+    (fun () -> C.run ~fingerprint:true ~domains:2 C.net_inc)
+    (stats ~executions:818 ~steps:1924 ~crashes_injected:772 ~vacuous:0 ~max_candidates:8
+       ~dedup_hits:2880 ~frontier_hwm:18 ~faults_injected:96 ~fault_schedules:18
+       ~retries_observed:28 ~cache_hits:120 ~fingerprint_hits:431 ~fingerprint_misses:772 ());
+  (* kvs put || get has no interchangeable threads; two identical writers
+     form one symmetry group (plain fingerprinting: 17 executions) *)
+  let writers =
+    RD.checker_config ~may_fail:false ~max_crashes:1 ~size:1
+      [ [ RD.write_call 0 (bv "a") ]; [ RD.write_call 0 (bv "a") ] ]
+  in
+  pin "rd identical writers, fingerprint + symmetry"
+    (fun () -> R.check ~fingerprint:true ~symmetry:true writers)
+    (stats ~executions:10 ~steps:87 ~crashes_injected:9 ~vacuous:0 ~max_candidates:4
+       ~dedup_hits:12 ~frontier_hwm:8 ~fingerprint_hits:1 ~fingerprint_misses:9 ())
+
 (* A read of an address outside the disk is spec-level undefined
    behaviour, so every path that must linearize it is vacuous. *)
 let test_stats_vacuous () =
@@ -434,6 +469,7 @@ let suite =
     Alcotest.test_case "stats pin: fs create || append" `Quick test_stats_fs_create_append;
     Alcotest.test_case "stats pin: kvs ft ops + faults" `Quick test_stats_kvs_ft;
     Alcotest.test_case "stats pin: vacuous paths" `Quick test_stats_vacuous;
+    Alcotest.test_case "stats pin: fingerprint seen-sets" `Quick test_stats_fingerprint;
     Alcotest.test_case "random pin: kvs put || get stats" `Quick test_random_kvs_stats;
     Alcotest.test_case "random pin: rd zero recovery" `Quick test_random_rd_zero_recovery;
     Alcotest.test_case "undefined behaviour: same report per strategy" `Quick

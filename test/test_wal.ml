@@ -13,7 +13,7 @@
    - the three seeded WAL bugs, each caught with a golden
      [pp_failure_lanes] counterexample byte-identical across all three
      strategies and domain counts 1/2/4;
-   - the Fingerprint regression: continuation digests (Marshal on
+   - the fingerprint regression: continuation classes (MD5 of Marshal on
      closures) are stable across two identical [check ~fingerprint] runs
      in the same process. *)
 
@@ -346,15 +346,16 @@ let prop_absorb_off_is_concat =
       W.batch_records p txns = List.concat txns)
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprint digest stability (regression)                            *)
+(* Continuation-class stability (regression)                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Continuation classes are MD5 digests of Marshal-ed closures.  Within
-   one process two structurally identical checks must produce identical
-   digests — pinned here by comparing the full stats (hits/misses would
-   drift if any rebuilt continuation digested differently).  The
-   constraint that digests must NOT be persisted across processes is
-   documented in fingerprint.mli. *)
+(* Continuation classes are MD5 digests of Marshal-ed closures, and each
+   one is a field of the canonical string a check keeps in its seen-set.
+   Within one process two structurally identical checks must produce
+   identical classes — pinned here by comparing the full stats
+   (hits/misses would drift if any rebuilt continuation digested
+   differently).  The constraint that classes must NOT be persisted
+   across processes is documented in fingerprint.mli. *)
 let test_fingerprint_digest_stability () =
   let mk () =
     W.checker_config wp1 ~max_crashes:1
